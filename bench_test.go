@@ -218,7 +218,7 @@ func BenchmarkProtocol200NodeSaturated(b *testing.B) {
 	net := planner200Setup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := net.RunTrafficProtocol(core.TrafficRun{
+		_, err := net.RunTraffic(core.TrafficRun{
 			Mode: mac.ModeNPlus, Duration: 0.02, Model: "poisson", RatePPS: 800,
 		})
 		if err != nil {

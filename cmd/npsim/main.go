@@ -306,7 +306,7 @@ func main() {
 			fatalf("%v", err)
 		}
 	}
-	rep, tr, err := runspec.RunTraced(norm, *trace)
+	rep, err := runspec.RunTraced(norm, *trace)
 	if prof != nil {
 		if perr := prof.Stop(); perr != nil && err == nil {
 			err = perr
@@ -324,9 +324,11 @@ func main() {
 		fmt.Println(string(data))
 		return
 	}
-	if *trace && tr != nil {
+	if *trace {
 		fmt.Println("\nMAC trace:")
-		fmt.Print(tr.String())
+		for _, line := range rep.Trace {
+			fmt.Println(line)
+		}
 	}
 	printHuman(rep)
 }

@@ -15,6 +15,8 @@ import (
 
 	"nplus/internal/core"
 	"nplus/internal/mac"
+	"nplus/internal/obs"
+	"nplus/internal/traffic"
 )
 
 func main() {
@@ -39,29 +41,36 @@ func main() {
 			net.Deployment.LinkSNRDB(f.Tx, f.Rx))
 	}
 
-	tput, trace, err := net.RunProtocol(mac.ModeNPlus, 0.02)
+	const duration = 0.02
+	res, err := net.RunTraffic(core.TrafficRun{
+		Mode: mac.ModeNPlus, Duration: duration, Model: traffic.Saturated,
+		Obs: obs.Config{Events: true},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nmedium-access trace (n+, first 20 ms):")
-	fmt.Print(trace.String())
+	for _, line := range obs.TraceLines(res.Events) {
+		fmt.Println(line)
+	}
 
 	fmt.Println("per-flow throughput:")
 	total := 0.0
 	for _, f := range net.Flows {
-		fmt.Printf("  flow %d: %6.2f Mb/s\n", f.ID, tput[f.ID])
-		total += tput[f.ID]
+		tput := res.PerFlow[f.ID].ThroughputMbps(duration)
+		fmt.Printf("  flow %d: %6.2f Mb/s\n", f.ID, tput)
+		total += tput
 	}
 	fmt.Printf("  total:  %6.2f Mb/s\n", total)
 
 	// Compare against today's 802.11n on the same placement.
-	tputL, _, err := net.RunProtocol(mac.Mode80211n, 0.02)
+	legacy, err := net.RunTraffic(core.TrafficRun{Mode: mac.Mode80211n, Duration: duration, Model: traffic.Saturated})
 	if err != nil {
 		log.Fatal(err)
 	}
 	totalL := 0.0
-	for _, x := range tputL {
-		totalL += x
+	for _, f := range net.Flows {
+		totalL += legacy.PerFlow[f.ID].ThroughputMbps(duration)
 	}
 	fmt.Printf("\n802.11n on the same placement: %.2f Mb/s total → n+ gain %.2fx\n",
 		totalL, total/totalL)

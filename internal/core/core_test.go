@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"nplus/internal/mac"
+	"nplus/internal/obs"
+	"nplus/internal/traffic"
 )
 
 func TestNewNetworkValidation(t *testing.T) {
@@ -292,16 +294,19 @@ func TestRunProtocolOnTestbed(t *testing.T) {
 			t.Fatal("no usable placement found")
 		}
 	}
-	tput, trace, err := net.RunProtocol(mac.ModeNPlus, 0.3)
+	res, err := net.RunTraffic(TrafficRun{
+		Mode: mac.ModeNPlus, Duration: 0.3, Model: traffic.Saturated,
+		Obs: obs.Config{Events: true},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0.0
-	for _, x := range tput {
-		total += x
+	for _, fs := range res.PerFlow {
+		total += fs.ThroughputMbps(0.3)
 	}
 	if total <= 0 {
-		t.Fatalf("no throughput on testbed; trace:\n%s", trace.String())
+		t.Fatalf("no throughput on testbed; trace:\n%s", strings.Join(obs.TraceLines(res.Events), "\n"))
 	}
 }
 

@@ -140,7 +140,7 @@ func (delayLoadExperiment) Trial(cfg exp.Config, i int, rng *rand.Rand) (exp.Sam
 	}
 	s := delayLoadSample{loadIdx: loadIdx, flows: len(net.Flows)}
 	for mi, mode := range delayLoadModes {
-		perFlow, _, err := net.RunTrafficProtocol(TrafficRun{
+		res, err := net.RunTraffic(TrafficRun{
 			Mode:       mode,
 			Duration:   c.Duration,
 			Model:      c.Traffic,
@@ -154,8 +154,8 @@ func (delayLoadExperiment) Trial(cfg exp.Config, i int, rng *rand.Rand) (exp.Sam
 		}
 		ms := &s.modes[mi]
 		// Pool flows in stable ID order so reduction is deterministic.
-		for _, id := range sortedIDs(perFlow) {
-			fs := perFlow[id]
+		for _, id := range sortedIDs(res.PerFlow) {
+			fs := res.PerFlow[id]
 			ms.delay.Merge(&fs.Delay)
 			ms.arrivals += fs.Arrivals
 			ms.drops += fs.Drops

@@ -171,31 +171,16 @@ func (n *Network) runTrafficDynamic(r TrafficRun, spec traffic.Spec) (*TrafficRe
 		d.mobSpec = ms
 	}
 
-	// Single engine at the historical seeds; a fresh mutable hearing
-	// graph (the Network's cached one must stay static for other
-	// callers).
-	sc, err := n.Scenario(int64(r.Mode) + 29)
-	if err != nil {
-		return nil, err
-	}
-	d.eng = sim.NewEngine(n.seed + 31)
-	var tr *sim.Trace
-	if r.Trace {
-		tr = &sim.Trace{}
-		d.eng.SetTrace(tr)
-	}
-	proto, err := mac.NewProtocol(d.eng, sc, n.Flows, mac.DefaultEpochConfig(r.Mode))
-	if err != nil {
-		return nil, err
-	}
-	d.proto = proto
+	// Single engine over the whole network at the historical seeds, on
+	// a fresh mutable hearing graph (the Network's cached one must stay
+	// static for other callers).
 	d.graph = n.Deployment.HearingGraph(n.opts.CSThresholdDB)
-	proto.SetHearing(d.graph)
-	if err := attachTraffic(proto, spec, r); err != nil {
+	pr, err := n.newProtocolRun(r, spec, n.Flows, d.graph, n.wholeRoots(r.Mode), 0)
+	if err != nil {
 		return nil, err
 	}
-	rec, met := attachObserve(proto, r.Obs, 0)
-	proto.SetOnDetach(d.onDetach)
+	d.proto, d.eng = pr.proto, pr.proto.Eng
+	d.proto.SetOnDetach(d.onDetach)
 
 	// Per-station mobility state for the initial clients.
 	if r.Mobility != nil {
@@ -235,30 +220,11 @@ func (n *Network) runTrafficDynamic(r TrafficRun, spec traffic.Spec) (*TrafficRe
 	}
 
 	d.stats.PeakStations = len(d.clients)
-	proto.Run(r.Duration)
+	d.proto.Run(r.Duration)
 	d.stats.FinalStations = len(d.clients)
 
-	res := &TrafficResult{
-		PerFlow:            proto.Stats(),
-		Components:         proto.Components(),
-		PeakConcurrentTxns: proto.PeakConcurrentTxns(),
-		PeakBusyComponents: proto.PeakBusyComponents(),
-		Trace:              tr,
-		Metrics:            met,
-		FlowDefs:           d.defs,
-		Churn:              &d.stats,
-	}
-	if rec != nil {
-		res.Events = rec.Events
-	}
-	flowCounts := proto.DomainFlowCounts()
-	for i, ds := range proto.DomainBreakdown() {
-		res.PerComponent = append(res.PerComponent, ComponentStats{
-			Flows: flowCounts[i], Wins: ds.Wins, Served: ds.Served,
-			DataTime: ds.DataTime, OverheadTime: ds.OverheadTime,
-		})
-	}
-	res.DataTime, res.OverheadTime = proto.MediumTime()
+	res := pr.collect()
+	res.FlowDefs, res.Churn = d.defs, &d.stats
 	return res, nil
 }
 

@@ -190,14 +190,14 @@ func TestGeneratedLargeTopologyRunsBothModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []mac.Mode{mac.Mode80211n, mac.ModeNPlus} {
-		perFlow, _, err := net.RunTrafficProtocol(TrafficRun{
+		res, err := net.RunTraffic(TrafficRun{
 			Mode: mode, Duration: 0.01, Model: "poisson", RatePPS: 50,
 		})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
 		served := int64(0)
-		for _, fs := range perFlow {
+		for _, fs := range res.PerFlow {
 			served += fs.Served
 		}
 		if served == 0 {

@@ -128,7 +128,7 @@ func (fairSizeExperiment) Trial(cfg exp.Config, i int, rng *rand.Rand) (exp.Samp
 	}
 	s := fairSizeSample{sizeIdx: sizeIdx, flows: len(net.Flows)}
 	for mi, mode := range delayLoadModes {
-		perFlow, _, err := net.RunTrafficProtocol(TrafficRun{
+		res, err := net.RunTraffic(TrafficRun{
 			Mode:       mode,
 			Duration:   c.Duration,
 			Model:      c.Traffic,
@@ -141,8 +141,8 @@ func (fairSizeExperiment) Trial(cfg exp.Config, i int, rng *rand.Rand) (exp.Samp
 			return nil, err
 		}
 		var tputs []float64
-		for _, id := range sortedIDs(perFlow) {
-			tputs = append(tputs, perFlow[id].ThroughputMbps(c.Duration))
+		for _, id := range sortedIDs(res.PerFlow) {
+			tputs = append(tputs, res.PerFlow[id].ThroughputMbps(c.Duration))
 		}
 		s.jain[mi] = stats.JainFairness(tputs)
 		for _, x := range tputs {

@@ -296,25 +296,6 @@ func (n *Network) flowEndpoints() []mac.NodeID {
 	return out
 }
 
-// RunProtocol runs the full event-driven CSMA/CA protocol for the
-// given virtual duration and returns per-flow throughput in Mb/s and
-// the protocol trace.
-func (n *Network) RunProtocol(mode mac.Mode, duration float64) (map[int]float64, *sim.Trace, error) {
-	sc, err := n.Scenario(int64(mode) + 29)
-	if err != nil {
-		return nil, nil, err
-	}
-	eng := sim.NewEngine(n.seed + 31)
-	tr := &sim.Trace{}
-	eng.SetTrace(tr)
-	proto, err := mac.NewProtocol(eng, sc, n.Flows, mac.DefaultEpochConfig(mode))
-	if err != nil {
-		return nil, nil, err
-	}
-	proto.SetHearing(n.HearingGraph())
-	return proto.Run(duration), tr, nil
-}
-
 // TrafficRun describes one open-loop protocol run: every flow gets an
 // arrival process from the named traffic model at the given mean rate
 // and a share of its station's bounded queue.
@@ -332,7 +313,6 @@ type TrafficRun struct {
 	// replaced.
 	OnFraction float64
 	CycleSec   float64
-	Trace      bool // attach a protocol trace
 	// Obs selects observability: the typed event stream, the metrics
 	// registry, and the probe cadence. The zero value observes nothing
 	// and the protocol's emit paths reduce to nil checks. Like every
@@ -346,14 +326,14 @@ type TrafficRun struct {
 	// own event queue, contender index, and RNG streams derived
 	// splitmix64-style from (run seed, component id) — never from the
 	// schedule — so results are bit-identical at any Workers value.
-	// 0 or negative selects GOMAXPROCS. Single-component deployments
-	// always run the historical single-engine path.
+	// 0 or negative selects GOMAXPROCS. A single-component deployment
+	// is the one-shard case: one engine at the historical seeds.
 	Workers int
 	// Churn / Mobility / Assoc make the population dynamic (see
 	// dynamic.go). Any of them non-nil routes the run through the
 	// single-engine dynamic controller (Workers becomes inert — results
 	// are byte-identical at any worker count by construction); all nil
-	// preserves the static paths untouched, seed for seed. Assoc alone
+	// keeps the static sharded run, seed for seed. Assoc alone
 	// is rejected: an association policy only acts on arrival or
 	// movement.
 	Churn    *ChurnConfig
@@ -399,10 +379,9 @@ type TrafficResult struct {
 	// PerComponent attributes wins, served packets, and busy time to
 	// each collision domain, in component order.
 	PerComponent []ComponentStats
-	// Trace is non-nil only when the run requested one.
-	Trace *sim.Trace
 	// Events is the typed event stream (Obs.Events), merged across
-	// components by (time, domain, sequence).
+	// components by (time, domain, sequence); obs.TraceLines renders it
+	// as the text MAC trace.
 	Events []obs.Event
 	// Metrics is the merged metrics registry (Obs.Metrics).
 	Metrics *obs.Metrics
@@ -416,17 +395,17 @@ type TrafficResult struct {
 }
 
 // RunTraffic runs the event-driven protocol under the given traffic
-// model and returns the structured result. The scenario salt matches
-// RunProtocol's, so a saturated TrafficRun reproduces the backlogged
-// run bit-for-bit.
+// model and returns the structured result. A saturated TrafficRun is
+// the fully backlogged protocol run.
 //
-// When the hearing graph splits the flow transmitters into several
-// components, each component runs the full protocol on its own event
-// queue and RNG streams, scheduled across a bounded worker pool
-// (r.Workers); results merge deterministically in component order, so
-// the outcome is bit-identical at any worker count. A single
-// component runs the historical single-engine path — seed for seed
-// the same as before sharding existed.
+// A static run is one sharded loop: each hearing-graph component of
+// the flow transmitters runs the full protocol on its own event queue
+// and RNG streams, scheduled across a bounded worker pool (r.Workers),
+// and the results merge deterministically in component order, so the
+// outcome is bit-identical at any worker count. A single component is
+// the one-shard case, run at the historical seeds. A dynamic run
+// (dynamic.go) builds and collects its protocol with the same helpers
+// on one engine over the whole network.
 func (n *Network) RunTraffic(r TrafficRun) (*TrafficResult, error) {
 	spec, ok := traffic.ByName(r.Model)
 	if !ok {
@@ -438,11 +417,7 @@ func (n *Network) RunTraffic(r TrafficRun) (*TrafficResult, error) {
 	if r.Assoc != nil {
 		return nil, fmt.Errorf("core: an association policy requires churn or mobility (it only acts on arrival or movement)")
 	}
-	shards := n.componentFlows()
-	if len(shards) <= 1 {
-		return n.runTrafficSingle(r, spec)
-	}
-	return n.runTrafficSharded(r, spec, shards)
+	return n.runTrafficSharded(r, spec)
 }
 
 // flowShard is one hearing-graph component's slice of the network:
@@ -451,27 +426,6 @@ type flowShard struct {
 	comp  int // hearing-graph component index (the RNG stream id)
 	idx   int // dense shard index — the run's global domain label
 	flows []mac.Flow
-}
-
-// attachObserve installs the run's observability sinks on a protocol
-// instance and returns them for collection after the run. It always
-// runs — domainBase labels the engine's domains (and trace entries)
-// with the run-global component index even on trace-only runs; with
-// everything else nil/zero the protocol's emit paths stay nil checks.
-func attachObserve(proto *mac.Protocol, c obs.Config, domainBase int) (*obs.Recorder, *obs.Metrics) {
-	var rec *obs.Recorder
-	var met *obs.Metrics
-	if c.Events {
-		rec = &obs.Recorder{}
-	}
-	if c.Metrics {
-		met = obs.NewMetrics()
-	}
-	proto.SetObserve(mac.ObserveConfig{
-		Recorder: rec, Metrics: met,
-		ProbeIntervalS: c.ProbeIntervalS, DomainBase: domainBase,
-	})
-	return rec, met
 }
 
 // componentFlows groups the network's flows by the hearing-graph
@@ -497,9 +451,45 @@ func (n *Network) componentFlows() []flowShard {
 	return shards
 }
 
-// attachTraffic installs the run's arrival model on a protocol
-// instance, surfacing the first source-construction error.
-func attachTraffic(proto *mac.Protocol, spec traffic.Spec, r TrafficRun) error {
+// runRoots are the randomness roots of one protocol instance: the
+// channel provider it reads and its scenario and engine RNG seeds.
+type runRoots struct {
+	provider mac.ChannelProvider
+	scenario int64
+	engine   int64
+}
+
+// wholeRoots are the roots of a run over the whole network — the
+// one-shard static case and the dynamic controller — at the seeds every
+// pinned golden run was recorded under.
+func (n *Network) wholeRoots(mode mac.Mode) runRoots {
+	return runRoots{provider: n.Deployment, scenario: n.seed*7919 + int64(mode) + 29, engine: n.seed + 31}
+}
+
+// protocolRun is one wired protocol instance and the observability
+// sinks its outcome is collected from.
+type protocolRun struct {
+	proto *mac.Protocol
+	rec   *obs.Recorder
+	met   *obs.Metrics
+}
+
+// newProtocolRun wires one protocol instance over flows: scenario and
+// engine from roots, the hearing graph g, the run's arrival model, and
+// its observability sinks, whose domains are labelled from domainBase.
+// Static shards and the dynamic controller share it, so every run path
+// builds the protocol the same way. With observation off the
+// protocol's emit paths stay nil checks.
+func (n *Network) newProtocolRun(r TrafficRun, spec traffic.Spec, flows []mac.Flow, g *mac.HearingGraph, roots runRoots, domainBase int) (*protocolRun, error) {
+	sc, err := n.scenarioWith(roots.provider, roots.scenario)
+	if err != nil {
+		return nil, err
+	}
+	proto, err := mac.NewProtocol(sim.NewEngine(roots.engine), sc, flows, mac.DefaultEpochConfig(r.Mode))
+	if err != nil {
+		return nil, err
+	}
+	proto.SetHearing(g)
 	var srcErr error
 	proto.SetTraffic(func(f mac.Flow) traffic.Source {
 		src, err := spec.New(traffic.Config{RatePPS: r.RatePPS, OnFraction: r.OnFraction, CycleSec: r.CycleSec})
@@ -509,124 +499,85 @@ func attachTraffic(proto *mac.Protocol, spec traffic.Spec, r TrafficRun) error {
 		return src
 	}, r.QueueCap)
 	if srcErr != nil {
-		return fmt.Errorf("core: traffic model %q: %w", r.Model, srcErr)
+		return nil, fmt.Errorf("core: traffic model %q: %w", r.Model, srcErr)
 	}
-	return nil
+	pr := &protocolRun{proto: proto}
+	if r.Obs.Events {
+		pr.rec = &obs.Recorder{}
+	}
+	if r.Obs.Metrics {
+		pr.met = obs.NewMetrics()
+	}
+	proto.SetObserve(mac.ObserveConfig{
+		Recorder: pr.rec, Metrics: pr.met,
+		ProbeIntervalS: r.Obs.ProbeIntervalS, DomainBase: domainBase,
+	})
+	return pr, nil
 }
 
-// runTrafficSingle is the historical single-engine path: one event
-// queue over all flows, exact instantaneous concurrency gauges, and
-// the engine/scenario seeds every pinned golden run was recorded
-// under.
-func (n *Network) runTrafficSingle(r TrafficRun, spec traffic.Spec) (*TrafficResult, error) {
-	sc, err := n.Scenario(int64(r.Mode) + 29)
-	if err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine(n.seed + 31)
-	var tr *sim.Trace
-	if r.Trace {
-		tr = &sim.Trace{}
-		eng.SetTrace(tr)
-	}
-	proto, err := mac.NewProtocol(eng, sc, n.Flows, mac.DefaultEpochConfig(r.Mode))
-	if err != nil {
-		return nil, err
-	}
-	proto.SetHearing(n.HearingGraph())
-	if err := attachTraffic(proto, spec, r); err != nil {
-		return nil, err
-	}
-	rec, met := attachObserve(proto, r.Obs, 0)
-	proto.Run(r.Duration)
+// collect is the outcome of a finished protocol run, with one
+// PerComponent entry per collision domain.
+func (pr *protocolRun) collect() *TrafficResult {
+	p := pr.proto
 	res := &TrafficResult{
-		PerFlow:            proto.Stats(),
-		Components:         proto.Components(),
-		PeakConcurrentTxns: proto.PeakConcurrentTxns(),
-		PeakBusyComponents: proto.PeakBusyComponents(),
-		Trace:              tr,
-		Metrics:            met,
+		PerFlow:            p.Stats(),
+		Components:         p.Components(),
+		PeakConcurrentTxns: p.PeakConcurrentTxns(),
+		PeakBusyComponents: p.PeakBusyComponents(),
+		Metrics:            pr.met,
 	}
-	if rec != nil {
-		res.Events = rec.Events
+	if pr.rec != nil {
+		res.Events = pr.rec.Events
 	}
-	for _, ds := range proto.DomainBreakdown() { // single path: ≤1 domain
+	flowCounts := p.DomainFlowCounts()
+	for i, ds := range p.DomainBreakdown() {
 		res.PerComponent = append(res.PerComponent, ComponentStats{
-			Flows: len(n.Flows), Wins: ds.Wins, Served: ds.Served,
+			Flows: flowCounts[i], Wins: ds.Wins, Served: ds.Served,
 			DataTime: ds.DataTime, OverheadTime: ds.OverheadTime,
 		})
 	}
-	res.DataTime, res.OverheadTime = proto.MediumTime()
-	return res, nil
+	res.DataTime, res.OverheadTime = p.MediumTime()
+	return res
 }
 
-// shardOutcome is one component's completed run, pending the
-// deterministic merge.
-type shardOutcome struct {
-	perFlow  map[int]*mac.FlowStats
-	domain   mac.DomainStats
-	data     float64
-	overhead float64
-	peak     int
-	busy     int
-	trace    *sim.Trace
-	events   []obs.Event
-	metrics  *obs.Metrics
-}
-
-// runShard executes one hearing-graph component as a self-contained
-// protocol run. Every seed below derives from (run seed, component
-// id) via sim.DeriveSeed — the same splitmix64 scheme internal/exp
-// uses for per-trial sweep seeds — so the component's randomness is
-// independent of its siblings and of which worker ran it. The
-// provider fork gives the shard private channel-response caches; the
-// underlying channel realizations are shared and immutable.
-func (n *Network) runShard(r TrafficRun, spec traffic.Spec, sh flowShard) (shardOutcome, error) {
-	stream := int64(sh.comp)
-	sc, err := n.scenarioWith(n.Deployment.Fork(), sim.DeriveSeed(n.seed*7919+int64(r.Mode)+29, stream))
+// runShard executes one shard as a self-contained protocol run. The
+// one-shard case (whole) runs the whole network at the historical
+// roots. Otherwise every seed derives from (run seed, component id) via
+// sim.DeriveSeed — the same splitmix64 scheme internal/exp uses for
+// per-trial sweep seeds — so the component's randomness is independent
+// of its siblings and of which worker ran it, and a provider fork gives
+// the shard private channel-response caches over the shared, immutable
+// channel realizations.
+func (n *Network) runShard(r TrafficRun, spec traffic.Spec, sh flowShard, whole bool) (*TrafficResult, error) {
+	roots := n.wholeRoots(r.Mode)
+	if !whole {
+		stream := int64(sh.comp)
+		roots = runRoots{
+			provider: n.Deployment.Fork(),
+			scenario: sim.DeriveSeed(roots.scenario, stream),
+			engine:   sim.DeriveSeed(roots.engine, stream),
+		}
+	}
+	pr, err := n.newProtocolRun(r, spec, sh.flows, n.HearingGraph(), roots, sh.idx)
 	if err != nil {
-		return shardOutcome{}, err
+		return nil, err
 	}
-	eng := sim.NewEngine(sim.DeriveSeed(n.seed+31, stream))
-	var tr *sim.Trace
-	if r.Trace {
-		tr = &sim.Trace{}
-		eng.SetTrace(tr)
-	}
-	proto, err := mac.NewProtocol(eng, sc, sh.flows, mac.DefaultEpochConfig(r.Mode))
-	if err != nil {
-		return shardOutcome{}, err
-	}
-	proto.SetHearing(n.HearingGraph())
-	if err := attachTraffic(proto, spec, r); err != nil {
-		return shardOutcome{}, err
-	}
-	rec, met := attachObserve(proto, r.Obs, sh.idx)
-	proto.Run(r.Duration)
-	if c := proto.Components(); c != 1 {
-		return shardOutcome{}, fmt.Errorf("core: component %d sharded into %d domains (hearing graph inconsistent)", sh.comp, c)
-	}
-	out := shardOutcome{
-		perFlow: proto.Stats(),
-		domain:  proto.DomainBreakdown()[0],
-		peak:    proto.PeakConcurrentTxns(),
-		busy:    proto.PeakBusyComponents(),
-		trace:   tr,
-		metrics: met,
-	}
-	if rec != nil {
-		out.events = rec.Events
-	}
-	out.data, out.overhead = proto.MediumTime()
-	return out, nil
+	pr.proto.Run(r.Duration)
+	return pr.collect(), nil
 }
 
 // runTrafficSharded fans the components over a bounded worker pool
-// (the same atomic-counter pool as exp.Runner) and merges the
-// outcomes in ascending component order, so the result is a pure
-// function of (network, run) — workers only change wall-clock time.
-func (n *Network) runTrafficSharded(r TrafficRun, spec traffic.Spec, shards []flowShard) (*TrafficResult, error) {
-	n.HearingGraph() // force the lazy build before goroutines share it
+// (the same atomic-counter pool as exp.Runner) and merges the outcomes
+// in ascending component order, so the result is a pure function of
+// (network, run) — workers only change wall-clock time. Merging a
+// single outcome is the identity: its event stream stays in emission
+// order and its metrics registry is returned as is.
+func (n *Network) runTrafficSharded(r TrafficRun, spec traffic.Spec) (*TrafficResult, error) {
+	shards := n.componentFlows() // also forces the lazy hearing graph before goroutines share it
+	whole := len(shards) <= 1
+	if whole {
+		shards = []flowShard{{flows: n.Flows}}
+	}
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -634,7 +585,7 @@ func (n *Network) runTrafficSharded(r TrafficRun, spec traffic.Spec, shards []fl
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	outs := make([]shardOutcome, len(shards))
+	outs := make([]*TrafficResult, len(shards))
 	errs := make([]error, len(shards))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -647,7 +598,7 @@ func (n *Network) runTrafficSharded(r TrafficRun, spec traffic.Spec, shards []fl
 				if i >= len(shards) {
 					return
 				}
-				outs[i], errs[i] = n.runShard(r, spec, shards[i])
+				outs[i], errs[i] = n.runShard(r, spec, shards[i], whole)
 			}
 		}()
 	}
@@ -657,66 +608,36 @@ func (n *Network) runTrafficSharded(r TrafficRun, spec traffic.Spec, shards []fl
 			return nil, fmt.Errorf("core: component %d: %w", shards[i].comp, err)
 		}
 	}
+	if whole {
+		return outs[0], nil
+	}
 
 	res := &TrafficResult{PerFlow: make(map[int]*mac.FlowStats)}
-	var trace *sim.Trace
-	if r.Trace {
-		trace = &sim.Trace{}
-	}
 	if r.Obs.Metrics {
 		res.Metrics = obs.NewMetrics()
 	}
-	for i := range outs {
-		out := &outs[i]
-		for id, fs := range out.perFlow {
+	for i, out := range outs {
+		if out.Components != 1 {
+			return nil, fmt.Errorf("core: component %d sharded into %d domains (hearing graph inconsistent)", shards[i].comp, out.Components)
+		}
+		for id, fs := range out.PerFlow {
 			res.PerFlow[id] = fs // flow ids are unique across components
 		}
-		res.DataTime += out.data
-		res.OverheadTime += out.overhead
+		res.DataTime += out.DataTime
+		res.OverheadTime += out.OverheadTime
 		res.Components++
-		res.PeakConcurrentTxns += out.peak
-		res.PeakBusyComponents += out.busy
-		res.PerComponent = append(res.PerComponent, ComponentStats{
-			Flows: len(shards[i].flows), Wins: out.domain.Wins, Served: out.domain.Served,
-			DataTime: out.domain.DataTime, OverheadTime: out.domain.OverheadTime,
-		})
-		if trace != nil && out.trace != nil {
-			trace.Entries = append(trace.Entries, out.trace.Entries...)
-		}
-		res.Events = append(res.Events, out.events...)
+		res.PeakConcurrentTxns += out.PeakConcurrentTxns
+		res.PeakBusyComponents += out.PeakBusyComponents
+		res.PerComponent = append(res.PerComponent, out.PerComponent...)
+		res.Events = append(res.Events, out.Events...)
 		if res.Metrics != nil {
-			res.Metrics.Merge(out.metrics) // ascending component order
+			res.Metrics.Merge(out.Metrics) // ascending component order
 		}
 	}
+	// Time ties break by (domain, per-engine sequence) — a pinned total
+	// order, so the merged stream is byte-identical at any worker count.
 	obs.SortEvents(res.Events)
-	if trace != nil {
-		// Interleave the per-component traces on the shared virtual
-		// clock. Time ties break by (component, per-engine sequence) —
-		// a pinned total order, so the merged trace is byte-identical
-		// at any worker count instead of merely time-sorted.
-		sort.Slice(trace.Entries, func(i, j int) bool {
-			a, b := trace.Entries[i], trace.Entries[j]
-			if a.At != b.At {
-				return a.At < b.At
-			}
-			if a.Comp != b.Comp {
-				return a.Comp < b.Comp
-			}
-			return a.Seq < b.Seq
-		})
-		res.Trace = trace
-	}
 	return res, nil
-}
-
-// RunTrafficProtocol is the historical map-returning form of
-// RunTraffic, kept for callers that only need per-flow statistics.
-func (n *Network) RunTrafficProtocol(r TrafficRun) (map[int]*mac.FlowStats, *sim.Trace, error) {
-	res, err := n.RunTraffic(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.PerFlow, res.Trace, nil
 }
 
 // MinLinkSNRDB returns the weakest flow SNR in the deployment —

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nplus/internal/mac"
@@ -90,32 +91,38 @@ func TestShardedRunWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedTraceMergesInTimeOrder checks the merged trace of a
-// parallel run: entries from all components interleave in
-// non-decreasing virtual-time order, exactly as a single global
-// observer would have logged them.
+// TestShardedTraceMergesInTimeOrder checks the merged event stream of
+// a parallel run: events from all components interleave on the total
+// order (time, domain, sequence), exactly as a single global observer
+// would have logged them, and more than one domain contributes.
 func TestShardedTraceMergesInTimeOrder(t *testing.T) {
 	net := campusNet(t, 13)
 	res, err := net.RunTraffic(TrafficRun{
 		Mode: mac.ModeNPlus, Duration: 0.005, Model: "poisson", RatePPS: 1500,
-		Trace: true, Workers: 4,
+		Workers: 4, Obs: obs.Config{Events: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || len(res.Trace.Entries) == 0 {
-		t.Fatal("sharded traced run produced no trace entries")
+	if len(res.Events) == 0 {
+		t.Fatal("sharded traced run produced no events")
 	}
-	for i := 1; i < len(res.Trace.Entries); i++ {
-		if res.Trace.Entries[i].At < res.Trace.Entries[i-1].At {
-			t.Fatalf("trace entry %d at %g precedes entry %d at %g",
-				i, res.Trace.Entries[i].At, i-1, res.Trace.Entries[i-1].At)
+	domains := map[int]bool{res.Events[0].Domain: true}
+	for i := 1; i < len(res.Events); i++ {
+		a, b := res.Events[i-1], res.Events[i]
+		domains[b.Domain] = true
+		if b.At < a.At || b.At == a.At && (b.Domain < a.Domain || b.Domain == a.Domain && b.Seq <= a.Seq) {
+			t.Fatalf("event %d (t=%g, domain %d, seq %d) does not follow event %d (t=%g, domain %d, seq %d)",
+				i, b.At, b.Domain, b.Seq, i-1, a.At, a.Domain, a.Seq)
 		}
+	}
+	if len(domains) < 2 {
+		t.Fatalf("merged stream holds %d domain(s), want ≥ 2", len(domains))
 	}
 }
 
 // TestObservedRunWorkerInvariance pins the observability merge
-// contract: the typed event stream (JSONL bytes), the rendered trace,
+// contract: the typed event stream (JSONL bytes), its rendered trace,
 // and the merged metrics snapshot of a sharded run are byte-identical
 // at 1, 4, and 8 workers. Events carry global domain labels and merge
 // on the total order (time, domain, sequence); metrics merge by exact
@@ -131,8 +138,8 @@ func TestObservedRunWorkerInvariance(t *testing.T) {
 	run := func(workers int) snap {
 		res, err := net.RunTraffic(TrafficRun{
 			Mode: mac.ModeNPlus, Duration: 0.005, Model: "poisson", RatePPS: 1500,
-			Trace: true, Workers: workers,
-			Obs: obs.Config{Events: true, Metrics: true, ProbeIntervalS: 0.001},
+			Workers: workers,
+			Obs:     obs.Config{Events: true, Metrics: true, ProbeIntervalS: 0.001},
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -148,7 +155,7 @@ func TestObservedRunWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return snap{events: buf.Bytes(), trace: res.Trace.String(), metrics: string(ms)}
+		return snap{events: buf.Bytes(), trace: strings.Join(obs.TraceLines(res.Events), "\n"), metrics: string(ms)}
 	}
 	base := run(1)
 	seen := map[int]bool{}
@@ -179,9 +186,9 @@ func TestObservedRunWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestSingleComponentIgnoresWorkers pins the fallback: a one-component
-// deployment takes the exact historical single-engine path no matter
-// the worker count, so legacy golden results stay byte-identical.
+// TestSingleComponentIgnoresWorkers pins the one-shard case: a
+// one-component deployment runs one engine at the historical seeds no
+// matter the worker count, so legacy golden results stay byte-identical.
 func TestSingleComponentIgnoresWorkers(t *testing.T) {
 	run := func(workers int) *TrafficResult {
 		net := chainNetwork(t, -30) // forced clique: one component

@@ -317,19 +317,16 @@ func (p *Protocol) SetObserve(cfg ObserveConfig) {
 
 // emitting reports whether anything consumes typed events — the guard
 // call sites use before building an Event (and any strings it needs).
-func (p *Protocol) emitting() bool { return p.rec != nil || p.Eng.Tracing() }
+func (p *Protocol) emitting() bool { return p.rec != nil }
 
 // emit stamps an event with the current virtual time and the global
-// domain id, records it, and renders it onto the text trace — the
-// trace is a derived view of the same stream.
+// domain id and records it. The text trace is rendered from the
+// recorded stream (obs.TraceLines).
 func (p *Protocol) emit(ev obs.Event) {
 	ev.At = p.Eng.Now()
 	ev.Domain += p.domainBase
-	if p.rec != nil {
+	if p.emitting() {
 		p.rec.Emit(ev)
-	}
-	if p.Eng.Tracing() {
-		p.Eng.TraceText(ev.Domain, ev.Render())
 	}
 }
 

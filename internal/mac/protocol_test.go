@@ -5,55 +5,74 @@ import (
 	"strings"
 	"testing"
 
+	"nplus/internal/obs"
 	"nplus/internal/sim"
 )
 
-func newProtocolFixture(t *testing.T, seed int64, mode Mode, estErr float64) (*sim.Engine, *Protocol, *sim.Trace) {
+func newProtocolFixture(t *testing.T, seed int64, mode Mode, estErr float64) (*sim.Engine, *Protocol, *obs.Recorder) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	flows, p := trioProvider(rng, 22, estErr)
 	eng := sim.NewEngine(seed + 100)
-	tr := &sim.Trace{}
-	eng.SetTrace(tr)
 	sc := newScenario(p, seed+200)
 	cfg := DefaultEpochConfig(mode)
 	proto, err := NewProtocol(eng, sc, flows, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, proto, tr
+	rec := &obs.Recorder{}
+	proto.SetObserve(ObserveConfig{Recorder: rec})
+	return eng, proto, rec
 }
 
+// traceOf renders a recorded event stream as the text trace, for
+// failure messages.
+func traceOf(rec *obs.Recorder) string {
+	return strings.Join(obs.TraceLines(rec.Events), "\n")
+}
+
+// sawEvent reports whether rec holds an event matching match.
+func sawEvent(rec *obs.Recorder, match func(obs.Event) bool) bool {
+	for _, ev := range rec.Events {
+		if match(ev) {
+			return true
+		}
+	}
+	return false
+}
+
+func isJoin(ev obs.Event) bool { return ev.Kind == obs.KindJoin }
+
 func TestProtocolRunsAndDelivers(t *testing.T) {
-	_, proto, tr := newProtocolFixture(t, 1, ModeNPlus, 0.03)
+	_, proto, rec := newProtocolFixture(t, 1, ModeNPlus, 0.03)
 	tput := proto.Run(0.5)
 	total := 0.0
 	for _, x := range tput {
 		total += x
 	}
 	if total <= 0 {
-		t.Fatalf("no throughput; trace:\n%s", tr.String())
+		t.Fatalf("no throughput; trace:\n%s", traceOf(rec))
 	}
 	// All three flows must have transmitted.
 	for id := 1; id <= 3; id++ {
 		if proto.Stats()[id].Wins+proto.Stats()[id].Joins == 0 {
-			t.Fatalf("flow %d never transmitted; trace:\n%s", id, tr.String())
+			t.Fatalf("flow %d never transmitted; trace:\n%s", id, traceOf(rec))
 		}
 	}
 }
 
 func TestProtocolSecondaryContentionHappens(t *testing.T) {
-	_, proto, tr := newProtocolFixture(t, 2, ModeNPlus, 0.03)
+	_, proto, rec := newProtocolFixture(t, 2, ModeNPlus, 0.03)
 	proto.Run(0.5)
 	joins := int64(0)
 	for _, st := range proto.Stats() {
 		joins += st.Joins
 	}
 	if joins == 0 {
-		t.Fatalf("n+ protocol never joined; trace:\n%s", tr.String())
+		t.Fatalf("n+ protocol never joined; trace:\n%s", traceOf(rec))
 	}
-	if !tr.Contains("joins with") {
-		t.Fatal("trace missing join events")
+	if !sawEvent(rec, isJoin) {
+		t.Fatal("event stream missing join events")
 	}
 }
 
@@ -91,12 +110,12 @@ func TestProtocolFig5Scenarios(t *testing.T) {
 	sawFull := false   // Fig. 5(a): 3 streams at once, no joins that round
 	sawStaged := false // Fig. 5(b/c/d): a join after a win
 	for seed := int64(10); seed < 22 && !(sawFull && sawStaged); seed++ {
-		_, proto, tr := newProtocolFixture(t, seed, ModeNPlus, 0.02)
+		_, proto, rec := newProtocolFixture(t, seed, ModeNPlus, 0.02)
 		proto.Run(0.3)
-		if strings.Contains(tr.String(), "wins primary contention: 3 stream(s)") {
+		if sawEvent(rec, func(ev obs.Event) bool { return ev.Kind == obs.KindContentionWin && ev.Streams == 3 }) {
 			sawFull = true
 		}
-		if tr.Contains("joins with") {
+		if sawEvent(rec, isJoin) {
 			sawStaged = true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nplus/internal/obs"
 	"nplus/internal/sim"
 	"nplus/internal/traffic"
 )
@@ -16,20 +17,20 @@ func (never) Next(*rand.Rand) float64 { return 1e9 }
 
 // newTrafficFixture builds the trio protocol with an open-loop source
 // per flow (nil entries keep that station saturated).
-func newTrafficFixture(t *testing.T, seed int64, mode Mode, srcFor map[int]traffic.Source, queueCap int) (*Protocol, *sim.Trace) {
+func newTrafficFixture(t *testing.T, seed int64, mode Mode, srcFor map[int]traffic.Source, queueCap int) (*Protocol, *obs.Recorder) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	flows, p := trioProvider(rng, 22, 0.03)
 	eng := sim.NewEngine(seed + 100)
-	tr := &sim.Trace{}
-	eng.SetTrace(tr)
 	sc := newScenario(p, seed+200)
 	proto, err := NewProtocol(eng, sc, flows, DefaultEpochConfig(mode))
 	if err != nil {
 		t.Fatal(err)
 	}
 	proto.SetTraffic(func(f Flow) traffic.Source { return srcFor[f.ID] }, queueCap)
-	return proto, tr
+	rec := &obs.Recorder{}
+	proto.SetObserve(ObserveConfig{Recorder: rec})
+	return proto, rec
 }
 
 func poissonSrc(t *testing.T, rate float64) traffic.Source {
@@ -46,7 +47,7 @@ func TestTrafficProtocolDeliversAndRecordsDelay(t *testing.T) {
 	for id := 1; id <= 3; id++ {
 		srcs[id] = poissonSrc(t, 300)
 	}
-	proto, tr := newTrafficFixture(t, 1, ModeNPlus, srcs, 64)
+	proto, rec := newTrafficFixture(t, 1, ModeNPlus, srcs, 64)
 	proto.Run(0.5)
 	for id := 1; id <= 3; id++ {
 		fs := proto.Stats()[id]
@@ -54,7 +55,7 @@ func TestTrafficProtocolDeliversAndRecordsDelay(t *testing.T) {
 			t.Fatalf("flow %d saw no arrivals", id)
 		}
 		if fs.Served == 0 {
-			t.Fatalf("flow %d served nothing; trace:\n%s", id, tr.String())
+			t.Fatalf("flow %d served nothing; trace:\n%s", id, traceOf(rec))
 		}
 		if fs.Delay.Count() != fs.Served {
 			t.Fatalf("flow %d: %d delay samples for %d served packets", id, fs.Delay.Count(), fs.Served)
@@ -82,27 +83,27 @@ func TestPartiallyLoadedMediumSecondaryJoin(t *testing.T) {
 		2: nil,                 // saturated: keeps the medium busy
 		3: poissonSrc(t, 1200), // busy joiner
 	}
-	proto, tr := newTrafficFixture(t, 3, ModeNPlus, srcs, 64)
+	proto, rec := newTrafficFixture(t, 3, ModeNPlus, srcs, 64)
 	proto.Run(0.5)
 
 	idle := proto.Stats()[1]
 	if idle.Wins+idle.Joins != 0 || idle.SentPackets != 0 {
-		t.Fatalf("idle station transmitted: %+v; trace:\n%s", idle, tr.String())
+		t.Fatalf("idle station transmitted: %+v; trace:\n%s", idle, traceOf(rec))
 	}
 	holder := proto.Stats()[2]
 	if holder.Wins == 0 {
-		t.Fatalf("saturated station never won the medium; trace:\n%s", tr.String())
+		t.Fatalf("saturated station never won the medium; trace:\n%s", traceOf(rec))
 	}
 	joiner := proto.Stats()[3]
 	if joiner.Joins == 0 {
 		t.Fatalf("3-antenna station never joined a busy medium (wins %d); trace:\n%s",
-			joiner.Wins, tr.String())
+			joiner.Wins, traceOf(rec))
 	}
 	if joiner.Served == 0 {
 		t.Fatal("joiner served no packets")
 	}
-	if !tr.Contains("joins with") {
-		t.Fatal("trace missing join events")
+	if !sawEvent(rec, isJoin) {
+		t.Fatal("event stream missing join events")
 	}
 }
 
@@ -151,7 +152,7 @@ func TestTrafficLightLoadDrainsToIdle(t *testing.T) {
 		}
 		srcs[id] = src
 	}
-	proto, tr := newTrafficFixture(t, 6, ModeNPlus, srcs, 64)
+	proto, rec := newTrafficFixture(t, 6, ModeNPlus, srcs, 64)
 	proto.Run(0.5)
 	for id := 1; id <= 3; id++ {
 		fs := proto.Stats()[id]
@@ -161,7 +162,7 @@ func TestTrafficLightLoadDrainsToIdle(t *testing.T) {
 		// Allow a small in-flight backlog at the horizon.
 		if fs.Arrivals-fs.Served > 3 {
 			t.Fatalf("flow %d: %d arrivals but only %d served; trace:\n%s",
-				id, fs.Arrivals, fs.Served, tr.String())
+				id, fs.Arrivals, fs.Served, traceOf(rec))
 		}
 	}
 }

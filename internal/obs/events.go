@@ -4,9 +4,9 @@
 // runs.
 //
 // The MAC protocol emits Events (structs, not strings) as it runs; the
-// historical text trace is now a rendered view over the same events
-// (Event.Render). Each emitting engine stamps its events with a
-// monotone per-recorder sequence number, so the streams of a sharded,
+// text MAC trace is a rendered view over the same events (TraceLines).
+// Each emitting engine stamps its events with a monotone per-recorder
+// sequence number, so the streams of a sharded,
 // component-parallel run merge deterministically on the total order
 // (time, domain, sequence) — byte-identical at any worker count,
 // exactly like the run's statistics.
@@ -163,6 +163,16 @@ func (e Event) Render() string {
 	default:
 		return fmt.Sprintf("%s event at station %d", e.Kind, e.Station)
 	}
+}
+
+// TraceLines renders an event stream as the text MAC trace, one
+// "<time>s <event>" line per event in stream order.
+func TraceLines(evs []Event) []string {
+	out := make([]string, len(evs))
+	for i, e := range evs {
+		out[i] = fmt.Sprintf("%10.6fs %s", e.At, e.Render())
+	}
+	return out
 }
 
 // Recorder collects one engine's typed events, stamping each with the

@@ -57,6 +57,25 @@ func TestRenderMatchesLegacyTraceLines(t *testing.T) {
 	}
 }
 
+// TraceLines renders one "<time>s <event>" line per event, in stream
+// order, with the time right-aligned to microseconds.
+func TestTraceLines(t *testing.T) {
+	lines := TraceLines([]Event{
+		{At: 0.0015, Kind: KindTxnEnd},
+		{At: 12.5, Kind: KindFreeze, Station: 2, Node: 8},
+	})
+	want := []string{
+		"  0.001500s joint transmission ends; ACK phase",
+		" 12.500000s station 2 (tx 8) freezes backoff",
+	}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("TraceLines = %q, want %q", lines, want)
+	}
+	if got := TraceLines(nil); len(got) != 0 {
+		t.Fatalf("TraceLines(nil) = %q", got)
+	}
+}
+
 func TestRecorderStampsSequence(t *testing.T) {
 	var r Recorder
 	r.Emit(Event{At: 1, Kind: KindDrop})

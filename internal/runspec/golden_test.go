@@ -49,7 +49,7 @@ func reportHashes(t *testing.T) map[string]string {
 
 func reportHash(t *testing.T, key string, s Spec, trace bool) string {
 	t.Helper()
-	rep, _, err := RunTraced(s, trace)
+	rep, err := RunTraced(s, trace)
 	if err != nil {
 		t.Fatalf("%s (trace=%v): %v", key, trace, err)
 	}

@@ -8,7 +8,6 @@ import (
 	"nplus/internal/knob"
 	"nplus/internal/mac"
 	"nplus/internal/obs"
-	"nplus/internal/sim"
 	"nplus/internal/topo"
 	"nplus/internal/traffic"
 )
@@ -18,40 +17,38 @@ import (
 // the run derives from the spec's seed, never from scheduling or
 // wall-clock state.
 func Run(s Spec) (*Report, error) {
-	rep, _, err := RunTraced(s, false)
-	return rep, err
+	return RunTraced(s, false)
 }
 
 // RunTraced is Run with an optional protocol trace (protocol engine
-// only; the epoch engine has no event trace and returns nil). A
-// traced run also collects the typed event stream the trace text is
-// rendered from and embeds both in the Report, so structured output
-// keeps what the text view shows. When the spec's observe block names
-// an events path, the stream is additionally written there as JSONL.
-func RunTraced(s Spec, trace bool) (*Report, *sim.Trace, error) {
+// only; the epoch engine has no event trace). A traced run collects
+// the typed event stream and embeds both it and its rendered text
+// trace (Report.Trace) in the Report, so structured output keeps what
+// the text view shows. When the spec's observe block names an events
+// path, the stream is additionally written there as JSONL.
+func RunTraced(s Spec, trace bool) (*Report, error) {
 	n, err := s.Normalized()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if trace && n.Engine != EngineProtocol {
-		return nil, nil, fmt.Errorf("runspec: tracing needs the protocol engine (got %s)", n.Engine)
+		return nil, fmt.Errorf("runspec: tracing needs the protocol engine (got %s)", n.Engine)
 	}
 	net, err := BuildNetwork(n)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	mode, err := mac.ParseMode(n.Mode)
 	if err != nil {
-		return nil, nil, err // unreachable after Normalized, kept for safety
+		return nil, err // unreachable after Normalized, kept for safety
 	}
 
 	if n.Engine == EngineEpoch {
 		res, err := net.RunEpochs(mode, n.Epochs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		rep := buildReport(n, net, res.PerFlow, nil, res.SNRLossDB, res.Elapsed, res.DataTime, res.OverheadTime, nil)
-		return rep, nil, nil
+		return buildReport(n, net, res.PerFlow, nil, res.SNRLossDB, res.Elapsed, res.DataTime, res.OverheadTime, nil), nil
 	}
 
 	onFraction, cycleSec := traffic.Auto, traffic.Auto
@@ -68,8 +65,7 @@ func RunTraced(s Spec, trace bool) (*Report, *sim.Trace, error) {
 		obsCfg.ProbeIntervalS = o.ProbeIntervalS
 	}
 	if trace {
-		// The trace is a rendered view over typed events; a traced run
-		// collects the stream so the Report can carry both.
+		// The trace is a rendered view over the typed event stream.
 		obsCfg.Events = true
 	}
 	run := core.TrafficRun{
@@ -80,7 +76,6 @@ func RunTraced(s Spec, trace bool) (*Report, *sim.Trace, error) {
 		QueueCap:   n.QueueCap,
 		OnFraction: onFraction,
 		CycleSec:   cycleSec,
-		Trace:      trace,
 		Workers:    n.Workers,
 		Obs:        obsCfg,
 	}
@@ -100,7 +95,7 @@ func RunTraced(s Spec, trace bool) (*Report, *sim.Trace, error) {
 	}
 	res, err := net.RunTraffic(run)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	spatial := &SpatialReport{
 		Components:         res.Components,
@@ -119,15 +114,15 @@ func RunTraced(s Spec, trace bool) (*Report, *sim.Trace, error) {
 		rep.Metrics = res.Metrics.Snapshot().Filter(n.Observe.Metrics)
 	}
 	if trace {
-		rep.Trace = res.Trace.Lines()
+		rep.Trace = obs.TraceLines(res.Events)
 		rep.Events = res.Events
 	}
 	if o := n.Observe; o != nil && o.Events != "" {
 		if err := obs.WriteEventsFile(o.Events, res.Events); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return rep, res.Trace, nil
+	return rep, nil
 }
 
 // BuildNetwork deploys the spec's scenario or generated topology with

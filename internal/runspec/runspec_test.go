@@ -288,7 +288,7 @@ func TestShortRunAirtimeBounded(t *testing.T) {
 // Tracing is a protocol-engine feature; an explicitly requested epoch
 // engine is a contradiction to reject, not silently override.
 func TestTraceRejectsEpochEngine(t *testing.T) {
-	if _, _, err := RunTraced(Spec{Scenario: "trio", Engine: EngineEpoch}, true); err == nil {
+	if _, err := RunTraced(Spec{Scenario: "trio", Engine: EngineEpoch}, true); err == nil {
 		t.Fatal("trace + epoch engine ran without error")
 	}
 }

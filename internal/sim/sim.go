@@ -1,15 +1,13 @@
 // Package sim provides the discrete-event engine under the MAC
 // simulations: a virtual clock, a deterministic event queue, seeded
-// randomness, and a structured trace facility. All experiment
-// randomness flows from the engine's RNG so every run is exactly
-// reproducible from its seed.
+// randomness. All experiment randomness flows from the engine's RNG so
+// every run is exactly reproducible from its seed.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"strings"
 )
 
 // Event is a scheduled callback.
@@ -65,7 +63,6 @@ type Engine struct {
 	seq    int64
 	events eventHeap
 	rng    *rand.Rand
-	trace  *Trace
 }
 
 // NewEngine creates an engine whose randomness derives entirely from
@@ -144,79 +141,3 @@ func (e *Engine) Step() bool {
 
 // Pending returns the number of scheduled events.
 func (e *Engine) Pending() int { return len(e.events) }
-
-// SetTrace attaches a trace sink; pass nil to disable.
-func (e *Engine) SetTrace(t *Trace) { e.trace = t }
-
-// Tracing reports whether a trace sink is attached, letting callers
-// skip building entry text entirely when nobody is listening.
-func (e *Engine) Tracing() bool { return e.trace != nil }
-
-// Tracef records a trace entry at the current virtual time.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.trace == nil {
-		return
-	}
-	e.trace.add(e.now, 0, fmt.Sprintf(format, args...))
-}
-
-// TraceText records a pre-rendered trace entry tagged with a
-// component id — the tie-breaking label that pins a total order when
-// traces from concurrently-run collision domains merge.
-func (e *Engine) TraceText(comp int, text string) {
-	if e.trace == nil {
-		return
-	}
-	e.trace.add(e.now, comp, text)
-}
-
-// Trace collects timestamped protocol events for debugging and for
-// the Fig. 5 scenario tests.
-type Trace struct {
-	Entries []TraceEntry
-}
-
-// TraceEntry is one recorded event. Comp and Seq exist for merging:
-// entries from different engines can share an At, so merged traces
-// order by (At, Comp, Seq) — Comp is the emitting component and Seq
-// the entry's index within its own engine's trace, making the merged
-// order independent of worker scheduling.
-type TraceEntry struct {
-	At   float64
-	Comp int
-	Seq  int64
-	Text string
-}
-
-func (t *Trace) add(at float64, comp int, text string) {
-	t.Entries = append(t.Entries, TraceEntry{At: at, Comp: comp, Seq: int64(len(t.Entries)), Text: text})
-}
-
-// String renders the trace, one entry per line.
-func (t *Trace) String() string {
-	var out []byte
-	for _, e := range t.Entries {
-		out = append(out, fmt.Sprintf("%10.6fs %s\n", e.At, e.Text)...)
-	}
-	return string(out)
-}
-
-// Lines renders each entry on its own line (same format as String),
-// for embedding a trace in structured output.
-func (t *Trace) Lines() []string {
-	out := make([]string, len(t.Entries))
-	for i, e := range t.Entries {
-		out[i] = fmt.Sprintf("%10.6fs %s", e.At, e.Text)
-	}
-	return out
-}
-
-// Contains reports whether any entry contains the substring.
-func (t *Trace) Contains(sub string) bool {
-	for _, e := range t.Entries {
-		if strings.Contains(e.Text, sub) {
-			return true
-		}
-	}
-	return false
-}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -148,74 +147,6 @@ func TestDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("run diverged at %d: %g vs %g", i, a[i], b[i])
 		}
-	}
-}
-
-func TestTrace(t *testing.T) {
-	e := NewEngine(1)
-	tr := &Trace{}
-	e.SetTrace(tr)
-	e.Schedule(1, func() { e.Tracef("hello %d", 7) })
-	e.Run(2)
-	if len(tr.Entries) != 1 || tr.Entries[0].At != 1 {
-		t.Fatalf("trace = %+v", tr.Entries)
-	}
-	if !tr.Contains("hello 7") {
-		t.Fatal("Contains failed")
-	}
-	if tr.Contains("absent") {
-		t.Fatal("Contains false positive")
-	}
-	if tr.String() == "" {
-		t.Fatal("String empty")
-	}
-	// Disabled trace must not record.
-	e.SetTrace(nil)
-	e.Schedule(1, func() { e.Tracef("more") })
-	e.Run(5)
-	if tr.Contains("more") {
-		t.Fatal("disabled trace recorded")
-	}
-}
-
-func TestTraceTextAndMergeKeys(t *testing.T) {
-	e := NewEngine(1)
-	if e.Tracing() {
-		t.Fatal("Tracing true with no sink")
-	}
-	tr := &Trace{}
-	e.SetTrace(tr)
-	if !e.Tracing() {
-		t.Fatal("Tracing false with a sink")
-	}
-	e.Schedule(1, func() {
-		e.TraceText(3, "first")
-		e.TraceText(3, "second")
-	})
-	e.Run(2)
-	if len(tr.Entries) != 2 {
-		t.Fatalf("trace = %+v", tr.Entries)
-	}
-	// Entries carry the merge keys: the tagged component and a
-	// per-trace sequence that preserves emission order on time ties.
-	for i, en := range tr.Entries {
-		if en.Comp != 3 || en.Seq != int64(i) || en.At != 1 {
-			t.Fatalf("entry %d = %+v", i, en)
-		}
-	}
-	lines := tr.Lines()
-	if len(lines) != 2 || !strings.Contains(lines[0], "first") || strings.Contains(lines[0], "\n") {
-		t.Fatalf("Lines() = %q", lines)
-	}
-	// Lines must agree with the String rendering, minus the newlines.
-	if strings.Join(lines, "\n")+"\n" != tr.String() {
-		t.Fatalf("Lines/String disagree:\n%q\n%q", lines, tr.String())
-	}
-	// TraceText on a disabled engine is a no-op.
-	e.SetTrace(nil)
-	e.TraceText(0, "ghost")
-	if tr.Contains("ghost") {
-		t.Fatal("disabled TraceText recorded")
 	}
 }
 
