@@ -234,7 +234,7 @@ func (n *Network) Scenario(salt int64) (*mac.Scenario, error) {
 }
 
 // scenarioWith is Scenario over an explicit channel provider and raw
-// RNG seed — the form sharded runs use to give each component its own
+// RNG seed — the form protocol runs use, so each shard can get its own
 // provider fork and derived RNG stream.
 func (n *Network) scenarioWith(provider mac.ChannelProvider, rngSeed int64) (*mac.Scenario, error) {
 	sel, err := esnr.NewSelector(nil)
@@ -575,7 +575,7 @@ func (n *Network) runShard(r TrafficRun, spec traffic.Spec, sh flowShard, whole 
 func (n *Network) runTrafficSharded(r TrafficRun, spec traffic.Spec) (*TrafficResult, error) {
 	shards := n.componentFlows() // also forces the lazy hearing graph before goroutines share it
 	whole := len(shards) <= 1
-	if whole {
+	if whole { // one engine over every flow, even on a flowless network
 		shards = []flowShard{{flows: n.Flows}}
 	}
 	workers := r.Workers
