@@ -1,6 +1,7 @@
 // Package nplus's repository-level benchmarks regenerate every table
 // and figure of the paper's evaluation (§6) plus the §3.5 overhead
-// numbers and the ablations DESIGN.md calls out. The figure
+// numbers and two ablations: the §4 join threshold L and per-packet
+// rate selection (§3.4). The figure
 // benchmarks drive the exp registry — the same engine cmd/npexp uses
 // — and run each experiment once per iteration, reporting the
 // headline metrics through testing.B metrics, so
@@ -51,7 +52,7 @@ func runRegistered(b *testing.B, name string, o exp.Overrides) exp.Result {
 // so `go test -bench . -benchtime 1x` exercises the whole registry
 // and a new registration cannot silently rot.
 func BenchmarkRegistry(b *testing.B) {
-	smoke := exp.Overrides{Trials: 20, Placements: 4, Epochs: 20, Duration: 0.02}
+	smoke := exp.Overrides{Trials: 20, Placements: 4, Epochs: 20}
 	for _, e := range exp.All() {
 		b.Run(e.Name(), func(b *testing.B) {
 			runRegistered(b, e.Name(), smoke)
@@ -126,27 +127,6 @@ func BenchmarkHandshakeOverhead(b *testing.B) {
 	b.ReportMetric(100*last.OverheadFraction, "overhead-%")
 }
 
-// BenchmarkDelayLoad — delay vs offered load on generated ad-hoc
-// deployments: reports the MACs' delivered throughput at the top of
-// the sweep (n+ should carry roughly 2× before saturating) and the
-// n+ p95 delay at the lightest load.
-func BenchmarkDelayLoad(b *testing.B) {
-	last := runRegistered(b, "delayload", exp.Overrides{Placements: 2, Duration: 0.04}).(*core.DelayLoadResult)
-	top := last.Points[len(last.Points)-1]
-	b.ReportMetric(top.Throughput[0], "nplus-Mbps")
-	b.ReportMetric(top.Throughput[1], "80211n-Mbps")
-	b.ReportMetric(last.Points[0].Delay[0].P95*1e3, "nplus-light-p95-ms")
-}
-
-// BenchmarkFairSize — Jain fairness across network sizes under both
-// MACs on generated deployments.
-func BenchmarkFairSize(b *testing.B) {
-	last := runRegistered(b, "fairsize", exp.Overrides{Placements: 2, Duration: 0.03}).(*core.FairSizeResult)
-	top := last.Points[len(last.Points)-1]
-	b.ReportMetric(top.Jain[0], "nplus-jain")
-	b.ReportMetric(top.Jain[1], "80211n-jain")
-}
-
 var (
 	planner200Once sync.Once
 	planner200Net  *core.Network
@@ -156,8 +136,8 @@ var (
 // planner200Setup builds (once) the 200-node generated uplink
 // deployment the planner benchmarks run on — the same scale as the
 // CI workload smoke.
-func planner200Setup(b *testing.B) *core.Network {
-	b.Helper()
+func planner200Setup(tb testing.TB) *core.Network {
+	tb.Helper()
 	planner200Once.Do(func() {
 		layout, err := topo.Generate("disk-uplink", topo.GenConfig{Nodes: 200}, rand.New(rand.NewSource(42)))
 		if err != nil {
@@ -167,22 +147,21 @@ func planner200Setup(b *testing.B) *core.Network {
 		planner200Net, planner200Err = core.NewNetworkFromLayout(7, layout, core.DefaultOptions())
 	})
 	if planner200Err != nil {
-		b.Fatal(planner200Err)
+		tb.Fatal(planner200Err)
 	}
 	return planner200Net
 }
 
-// BenchmarkPlanner200NodeRound measures one contention round of the
-// join planner on a 200-node deployment: a primary win planned via
-// PlanBest, then a secondary join against it. This is the MAC hot
-// path that makes large event-driven runs planner-bound; CI exports
-// its ns/op as BENCH_planner.json so future PRs have a perf
-// trajectory to compare against.
-func BenchmarkPlanner200NodeRound(b *testing.B) {
-	net := planner200Setup(b)
+// planner200Round returns one contention round of the join planner on
+// the 200-node deployment: a primary win planned via PlanBest, then a
+// secondary join against it. BenchmarkPlanner200NodeRound times it and
+// TestPlannerRoundAllocs pins its allocations.
+func planner200Round(tb testing.TB) func() {
+	tb.Helper()
+	net := planner200Setup(tb)
 	sc, err := net.Scenario(99)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	flows := net.Flows
 	// A 2-antenna primary and a 3-antenna secondary joiner.
@@ -196,17 +175,27 @@ func BenchmarkPlanner200NodeRound(b *testing.B) {
 		}
 	}
 	if prim == nil || join == nil {
-		b.Fatal("generated deployment lacks the mixed-antenna flows the round needs")
+		tb.Fatal("generated deployment lacks the mixed-antenna flows the round needs")
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		group, err := sc.PlanBest(mac.JoinRequest{Dests: []mac.Flow{*prim}}, nil, false, true)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := sc.PlanBest(mac.JoinRequest{Dests: []mac.Flow{*join}}, group, false, false); err != nil && err != mac.ErrNoDoF {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPlanner200NodeRound measures one contention round of the
+// join planner on a 200-node deployment. This is the MAC hot path
+// that makes large event-driven runs planner-bound.
+func BenchmarkPlanner200NodeRound(b *testing.B) {
+	round := planner200Round(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }
 

@@ -8,29 +8,32 @@
 //	npexp -exp fig9             # carrier sense (Fig. 9a/9b)
 //	npexp -exp fig12 -workers 8 # trio throughput CDFs on 8 workers
 //	npexp -exp all              # everything registered
-//	npexp -exp delayload -json  # structured result as JSON
+//	npexp -exp fig13 -json      # structured result as JSON
 //	npexp -spec sweep.json -json  # runspec grid → one Report per line (JSONL)
+//	npexp -spec examples/specs/fairsize.json -topo grid-uplink
 //	npexp -list                 # names and descriptions
 //
-// With -spec, the shared knobs (-seed, -topo, -traffic, -nodes,
-// -duration, -epochs) plus the spatial knobs (-clusters,
-// -cluster-loss, -cs-threshold) and the observability knobs (-events,
-// -metrics, -probe) override the sweep's base spec field-for-field
-// when explicitly passed; -trials/-placements have no spec
-// counterpart and are rejected. The spatial and observability knobs
-// exist only on the spec path — registry experiments reject them.
-// -events needs a single-point sweep (each point would clobber the
-// same file); -metrics adds a metrics section to every point's
-// Report. -pprof profiles either path: <prefix>.cpu.pprof,
+// With -spec, every Spec-field flag of runspec's flag table (the same
+// table npsim uses, minus -workers) overrides the sweep's base spec
+// field-for-field when explicitly passed. A flag for a field a sweep
+// axis lists (-rate, -nodes, -mode, -seed over rates, nodes, modes,
+// seeds) is rejected, since expansion would overwrite it on every
+// point; -trials/-placements have no spec counterpart and are
+// rejected too. -events needs a single-point sweep (each point would
+// clobber the same file); -metrics adds a metrics section to every
+// point's Report. -pprof profiles either path: <prefix>.cpu.pprof,
 // <prefix>.heap.pprof, and a runtime/metrics snapshot
 // <prefix>.runtime.json.
 //
-// -placements / -epochs / -trials / -seed scale the experiments (each
-// experiment applies the knobs it understands); the defaults
-// reproduce the paper's shapes in a couple of minutes. Only flags the
-// user actually passed are applied, so an explicit -seed 0 really
-// runs seed 0. Results are bit-identical at any -workers value: trial
-// i always derives its RNG from hash(seed, i).
+// -placements / -epochs / -trials / -seed scale the registry
+// experiments (each experiment applies the knobs it understands, and
+// an unpassed knob keeps the experiment's own default); the defaults
+// reproduce the paper's shapes in a couple of minutes. Every other
+// Spec-field flag is rejected there: the figure experiments are not
+// specs and would ignore it. Only flags the user actually passed are
+// applied, so an explicit -seed 0 really runs seed 0. Results are
+// bit-identical at any -workers value: trial i always derives its RNG
+// from hash(seed, i).
 //
 // -workers sizes the pool of *trials*; inside each protocol-engine
 // run, the spec's own "workers" field independently parallelizes the
@@ -54,6 +57,9 @@ import (
 
 func main() {
 	names := strings.Join(exp.Names(), ", ")
+	// -workers sizes the trial pool here, so the table's per-run
+	// workers field has no flag in npexp.
+	specFlags := runspec.BindFlags(flag.CommandLine, "workers")
 	expName := flag.String("exp", "all", "experiment to run: all, or one of: "+names)
 	fig := flag.String("fig", "", "deprecated alias for -exp (accepts 9 for fig9, etc.)")
 	specPath := flag.String("spec", "", "runspec file (single spec or sweep, or - for stdin): run it through the parallel engine")
@@ -61,24 +67,7 @@ func main() {
 	list := flag.Bool("list", false, "list registered experiments and exit")
 	workers := flag.Int("workers", 0, "trial worker pool size (0 = GOMAXPROCS)")
 	placements := flag.Int("placements", 0, "random placements (0 = default per experiment)")
-	epochs := flag.Int("epochs", 0, "contention rounds per placement (0 = default)")
 	trials := flag.Int("trials", 0, "trials for fig9 / overhead (0 = default)")
-	seed := flag.Int64("seed", 0, "base seed (0 = default unless passed explicitly)")
-	topoName := flag.String("topo", "", "topology generator for workload experiments (empty = default)")
-	trafficName := flag.String("traffic", "", "traffic model for workload experiments (empty = default)")
-	nodes := flag.Int("nodes", 0, "generated topology size (0 = default)")
-	duration := flag.Float64("duration", 0, "virtual seconds per protocol run (0 = default)")
-	clusters := flag.Int("clusters", 0, "spatial cells for clustered topologies (sweep base override)")
-	clusterLoss := flag.Float64("cluster-loss", 0, "inter-cluster attenuation in dB (sweep base override)")
-	csThreshold := flag.Float64("cs-threshold", 0, "carrier-sense hearing threshold in dB SNR (sweep base override)")
-	churnRate := flag.Float64("churn-rate", 0, "station arrival rate, stations/s (sweep base override; dynamic population)")
-	session := flag.Float64("session", 0, "mean station session length in virtual seconds (sweep base override)")
-	mobility := flag.String("mobility", "", "station mobility model (sweep base override)")
-	speed := flag.Float64("speed", 0, "station speed in m/s (sweep base override)")
-	assocPolicy := flag.String("assoc", "", "association policy for dynamic runs (sweep base override)")
-	eventsPath := flag.String("events", "", "write the typed event stream as JSONL (single-point -spec runs only)")
-	metricsSel := flag.String("metrics", "", "comma-separated metrics for each report's metrics section, or \"all\" (sweep base override)")
-	probe := flag.Float64("probe", 0, "time-series probe cadence in virtual seconds (sweep base override, 0 = off)")
 	pprofPrefix := flag.String("pprof", "", "profile the run: <prefix>.cpu.pprof, <prefix>.heap.pprof, and a Go runtime/metrics snapshot <prefix>.runtime.json")
 	flag.Parse()
 
@@ -94,105 +83,19 @@ func main() {
 
 	if *specPath != "" {
 		if set["exp"] || set["fig"] {
-			fmt.Fprintln(os.Stderr, "npexp: -spec and -exp/-fig are mutually exclusive")
-			os.Exit(2)
+			usagef("-spec and -exp/-fig are mutually exclusive")
 		}
 		// Registry-experiment knobs have no spec-field counterpart;
 		// reject them rather than silently dropping them.
 		if set["trials"] || set["placements"] {
-			fmt.Fprintln(os.Stderr, "npexp: -trials/-placements are registry-experiment knobs; a sweep's size is its grid")
-			os.Exit(2)
+			usagef("-trials/-placements are registry-experiment knobs; a sweep's size is its grid")
 		}
 		sw, err := runspec.LoadSweep(*specPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "npexp: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
-		// Explicitly-passed flags override the base spec
-		// field-for-field, exactly as npsim treats its spec file.
-		if set["topo"] {
-			sw.Base.Topo = *topoName
-			sw.Base.Scenario = ""
-		}
-		if set["traffic"] {
-			sw.Base.Traffic = *trafficName
-		}
-		if set["nodes"] {
-			sw.Base.Nodes = *nodes
-		}
-		if set["duration"] {
-			sw.Base.DurationS = *duration
-		}
-		if set["epochs"] {
-			sw.Base.Epochs = *epochs
-		}
-		if set["seed"] {
-			sw.Base.Seed = seed
-		}
-		if set["clusters"] {
-			sw.Base.Clusters = *clusters
-		}
-		if set["cluster-loss"] {
-			sw.Base.InterClusterLossDB = clusterLoss
-		}
-		if set["cs-threshold"] {
-			if sw.Base.Options == nil {
-				sw.Base.Options = &runspec.OptionsSpec{}
-			}
-			sw.Base.Options.CSThresholdDB = csThreshold
-		}
-		if set["churn-rate"] || set["session"] {
-			if sw.Base.Churn == nil {
-				sw.Base.Churn = &runspec.ChurnSpec{}
-			}
-			if set["churn-rate"] {
-				sw.Base.Churn.ArrivalPerS = *churnRate
-			}
-			if set["session"] {
-				sw.Base.Churn.MeanSessionS = *session
-			}
-		}
-		if set["mobility"] || set["speed"] {
-			if sw.Base.Mobility == nil {
-				sw.Base.Mobility = &runspec.MobilitySpec{}
-			}
-			if set["mobility"] {
-				sw.Base.Mobility.Model = *mobility
-			}
-			if set["speed"] {
-				sw.Base.Mobility.SpeedMPS = *speed
-			}
-		}
-		if set["assoc"] {
-			if sw.Base.Association == nil {
-				sw.Base.Association = &runspec.AssociationSpec{}
-			}
-			sw.Base.Association.Policy = *assocPolicy
-		}
-		if set["events"] || set["metrics"] || set["probe"] {
-			// Observe flags override the base spec's observe block
-			// field-for-field, exactly as npsim treats them. Sweep
-			// expansion rejects an events path on a multi-point grid.
-			if sw.Base.Observe == nil {
-				sw.Base.Observe = &runspec.ObserveSpec{}
-			}
-			if set["events"] {
-				sw.Base.Observe.Events = *eventsPath
-			}
-			if set["metrics"] {
-				sw.Base.Observe.Metrics = splitList(*metricsSel)
-			}
-			if set["probe"] {
-				sw.Base.Observe.ProbeIntervalS = *probe
-			}
-		}
-		if o := sw.Base.Observe; o != nil && sw.Base.Engine == "" &&
-			(o.Events != "" || o.ProbeIntervalS != 0 || len(o.Metrics) > 0) {
-			// The observability block only exists on the event-driven
-			// path; auto-select it exactly as npsim does for -trace. An
-			// explicitly pinned epoch engine still gets normalization's
-			// contradiction error.
-			sw.Base.Engine = runspec.EngineProtocol
+		if err := specFlags.ApplySweep(&sw); err != nil {
+			usagef("%v", err)
 		}
 		prof := startProfile(*pprofPrefix)
 		runSweep(sw, *workers, *jsonOut)
@@ -200,30 +103,23 @@ func main() {
 		return
 	}
 
-	if set["clusters"] || set["cluster-loss"] || set["cs-threshold"] {
-		// Spec-only knobs: the registry experiments would silently
-		// ignore them, so reject instead.
-		fmt.Fprintln(os.Stderr, "npexp: -clusters/-cluster-loss/-cs-threshold apply to -spec runs only")
-		os.Exit(2)
+	// Registry experiments are not specs: of the table's flags they
+	// take only -seed and -epochs, and every other one would be
+	// silently ignored, so it is rejected.
+	for _, name := range specFlags.Passed() {
+		if name != "seed" && name != "epochs" {
+			usagef("-%s sets a spec field; registry experiments take only -seed and -epochs (run a spec file with -spec)", name)
+		}
 	}
-	if set["events"] || set["metrics"] || set["probe"] {
-		// The observability block lives on the protocol engine's spec
-		// path; registry experiments have no event stream to tap.
-		fmt.Fprintln(os.Stderr, "npexp: -events/-metrics/-probe apply to -spec runs only")
-		os.Exit(2)
-	}
-	if set["churn-rate"] || set["session"] || set["mobility"] || set["speed"] || set["assoc"] {
-		// Dynamic-population knobs are spec fields; the registry
-		// experiments run fixed populations.
-		fmt.Fprintln(os.Stderr, "npexp: -churn-rate/-session/-mobility/-speed/-assoc apply to -spec runs only")
-		os.Exit(2)
+	var scale runspec.Spec
+	if err := specFlags.Apply(&scale); err != nil {
+		usagef("%v", err)
 	}
 
 	name := *expName
 	if *fig != "" {
 		if *expName != "all" {
-			fmt.Fprintln(os.Stderr, "npexp: -fig and -exp are mutually exclusive (use -exp)")
-			os.Exit(2)
+			usagef("-fig and -exp are mutually exclusive (use -exp)")
 		}
 		name = *fig
 	}
@@ -240,22 +136,23 @@ func main() {
 	} else {
 		e, ok := exp.Get(name)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "npexp: unknown experiment %q (have: all, %s)\n", name, names)
-			os.Exit(2)
+			usagef("unknown experiment %q (have: all, %s)", name, names)
 		}
 		selected = []exp.Experiment{e}
 	}
 
-	// flag.Visit marks explicitly-passed knobs so zero values apply:
-	// the old nonzero convention made -seed 0 inexpressible.
+	// The Set marks make an explicit zero such as -seed 0 apply. scale
+	// holds only passed flags, so no table default reaches the
+	// overrides.
 	o := exp.Overrides{
-		Trials: *trials, Placements: *placements, Epochs: *epochs, Seed: *seed,
-		Topo: *topoName, Traffic: *trafficName, Nodes: *nodes, Duration: *duration,
+		Trials: *trials, Placements: *placements, Epochs: scale.Epochs,
 		Set: exp.OverrideSet{
-			Trials: set["trials"], Placements: set["placements"], Epochs: set["epochs"],
-			Seed: set["seed"], Topo: set["topo"], Traffic: set["traffic"],
-			Nodes: set["nodes"], Duration: set["duration"],
+			Trials: set["trials"], Placements: set["placements"],
+			Epochs: set["epochs"], Seed: scale.Seed != nil,
 		},
+	}
+	if scale.Seed != nil {
+		o.Seed = *scale.Seed
 	}
 	runner := &exp.Runner{Workers: *workers}
 	prof := startProfile(*pprofPrefix)
@@ -270,8 +167,7 @@ func main() {
 		}
 		res, err := runner.Run(e, cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "npexp: %s: %v\n", e.Name(), err)
-			os.Exit(1)
+			fatalf("%s: %v", e.Name(), err)
 		}
 		if *jsonOut {
 			// The structured payload of every registered experiment:
@@ -282,8 +178,7 @@ func main() {
 				"result":     res,
 			}, "", "  ")
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "npexp: %s: marshal: %v\n", e.Name(), err)
-				os.Exit(1)
+				fatalf("%s: marshal: %v", e.Name(), err)
 			}
 			fmt.Println(string(data))
 			continue
@@ -299,8 +194,7 @@ func startProfile(prefix string) *obs.Profile {
 	}
 	prof, err := obs.StartProfile(prefix)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "npexp: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	return prof
 }
@@ -312,21 +206,8 @@ func stopProfile(prof *obs.Profile) {
 		return
 	}
 	if err := prof.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "npexp: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
-}
-
-// splitList parses a comma-separated flag value, dropping empty
-// elements so "-metrics wins," and "-metrics ”" behave sensibly.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // runSweep executes a declarative sweep through the parallel runner:
@@ -335,15 +216,25 @@ func splitList(s string) []string {
 func runSweep(sw runspec.Sweep, workers int, jsonOut bool) {
 	res, err := runspec.RunSweep(sw, workers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "npexp: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	if jsonOut {
 		if err := res.WriteJSONL(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "npexp: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		return
 	}
 	fmt.Print(res.Render())
+}
+
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "npexp: "+format+"\n", args...)
+	os.Exit(1)
+}
+
+// usagef reports a bad flag or spec combination with the usage exit
+// code.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "npexp: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -5,10 +5,11 @@
 // dependent channel estimation error.
 //
 // The paper's evaluation runs on USRP2 radios; we have no radios, so
-// this package is the substitution documented in DESIGN.md §2. All
-// powers in this package are linear and referenced to a unit noise
-// floor (noise power = 1.0 ⇒ a signal with power 10^(x/10) has an SNR
-// of x dB), which keeps SNR arithmetic trivial everywhere above.
+// this package substitutes these standard statistical models for the
+// measured medium. All powers in this package are linear and
+// referenced to a unit noise floor (noise power = 1.0 ⇒ a signal with
+// power 10^(x/10) has an SNR of x dB), which keeps SNR arithmetic
+// trivial everywhere above.
 package channel
 
 import (

@@ -14,8 +14,6 @@ func init() {
 		fig12Experiment{},
 		fig13Experiment{},
 		overheadExperiment{},
-		delayLoadExperiment{},
-		fairSizeExperiment{},
 	} {
 		exp.Register(e)
 	}

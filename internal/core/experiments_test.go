@@ -14,17 +14,15 @@ import (
 // engine tests; determinism and registry wiring do not depend on
 // sample counts.
 var smokeOverrides = map[string]exp.Overrides{
-	"fig9":      {Trials: 12},
-	"fig11":     {Placements: 10},
-	"fig12":     {Placements: 3, Epochs: 10},
-	"fig13":     {Placements: 3, Epochs: 10},
-	"overhead":  {Trials: 8},
-	"delayload": {Placements: 1, Duration: 0.02},
-	"fairsize":  {Placements: 1, Duration: 0.02},
+	"fig9":     {Trials: 12},
+	"fig11":    {Placements: 10},
+	"fig12":    {Placements: 3, Epochs: 10},
+	"fig13":    {Placements: 3, Epochs: 10},
+	"overhead": {Trials: 8},
 }
 
 func TestRegistryHasAllPaperExperiments(t *testing.T) {
-	for _, want := range []string{"fig9", "fig11", "fig12", "fig13", "overhead", "delayload", "fairsize"} {
+	for _, want := range []string{"fig9", "fig11", "fig12", "fig13", "overhead"} {
 		e, ok := exp.Get(want)
 		if !ok {
 			t.Fatalf("experiment %q not registered (have %v)", want, exp.Names())
@@ -114,59 +112,6 @@ func TestScenarioRegistry(t *testing.T) {
 	}
 	if _, ok := ScenarioByName("no-such-scenario"); ok {
 		t.Fatal("lookup of unregistered scenario succeeded")
-	}
-}
-
-// TestWorkloadExperimentsCompareBothMACs pins the headline shape of
-// the new workload experiments at smoke scale: both MACs produce
-// delay samples and throughput, and n+ delivers at least as much in
-// aggregate across the load sweep (secondary contention can only add
-// air time).
-func TestWorkloadExperimentsCompareBothMACs(t *testing.T) {
-	cfg := DefaultDelayLoadConfig()
-	cfg.LoadsPPS = []float64{200, 800}
-	cfg.Placements = 1
-	cfg.Duration = 0.04
-	res, err := RunDelayLoad(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("%d load points, want 2", len(res.Points))
-	}
-	var totalN, totalL float64
-	for _, p := range res.Points {
-		for mi := 0; mi < 2; mi++ {
-			if p.Delay[mi].N == 0 {
-				t.Fatalf("load %g mode %d served no packets", p.LoadPPS, mi)
-			}
-		}
-		totalN += p.Throughput[0]
-		totalL += p.Throughput[1]
-	}
-	if totalN < totalL {
-		t.Fatalf("n+ delivered %.2f Mb/s < 802.11n %.2f Mb/s across the sweep", totalN, totalL)
-	}
-
-	fcfg := DefaultFairSizeConfig()
-	fcfg.Sizes = []int{10}
-	fcfg.Placements = 1
-	fcfg.Duration = 0.03
-	fres, err := RunFairSize(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fres.Points) != 1 {
-		t.Fatalf("%d size points, want 1", len(fres.Points))
-	}
-	p := fres.Points[0]
-	for mi := 0; mi < 2; mi++ {
-		if p.Jain[mi] <= 0 || p.Jain[mi] > 1 {
-			t.Fatalf("Jain index %g out of range", p.Jain[mi])
-		}
-		if p.Total[mi] <= 0 {
-			t.Fatalf("mode %d delivered nothing", mi)
-		}
 	}
 }
 

@@ -44,12 +44,6 @@ type Overrides struct {
 	Epochs     int
 	Seed       int64
 
-	// Workload knobs for traffic/topology experiments.
-	Topo     string  // deployment generator name
-	Traffic  string  // arrival model name
-	Nodes    int     // generated topology size
-	Duration float64 // virtual seconds per protocol run
-
 	// Set marks fields explicitly provided by the user, making
 	// explicit zeros expressible. Constructing Overrides with plain
 	// nonzero values and no Set marks keeps working.
@@ -62,10 +56,6 @@ type OverrideSet struct {
 	Placements bool
 	Epochs     bool
 	Seed       bool
-	Topo       bool
-	Traffic    bool
-	Nodes      bool
-	Duration   bool
 }
 
 // HasTrials reports whether the trial-count override applies.
@@ -80,18 +70,6 @@ func (o Overrides) HasEpochs() bool { return o.Set.Epochs || o.Epochs > 0 }
 // HasSeed reports whether the seed override applies — explicitly
 // marked, or nonzero for callers that never fill Set.
 func (o Overrides) HasSeed() bool { return o.Set.Seed || o.Seed != 0 }
-
-// HasTopo reports whether the topology-generator override applies.
-func (o Overrides) HasTopo() bool { return o.Set.Topo || o.Topo != "" }
-
-// HasTraffic reports whether the traffic-model override applies.
-func (o Overrides) HasTraffic() bool { return o.Set.Traffic || o.Traffic != "" }
-
-// HasNodes reports whether the topology-size override applies.
-func (o Overrides) HasNodes() bool { return o.Set.Nodes || o.Nodes > 0 }
-
-// HasDuration reports whether the run-duration override applies.
-func (o Overrides) HasDuration() bool { return o.Set.Duration || o.Duration > 0 }
 
 // Configurable is implemented by configs that can absorb Overrides,
 // letting drivers scale any registered experiment without knowing its

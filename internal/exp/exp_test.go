@@ -218,7 +218,7 @@ func TestRegistry(t *testing.T) {
 // convention still works for callers that never fill them.
 func TestOverridePresence(t *testing.T) {
 	var o Overrides
-	if o.HasSeed() || o.HasTrials() || o.HasTopo() || o.HasDuration() {
+	if o.HasSeed() || o.HasTrials() || o.HasPlacements() || o.HasEpochs() {
 		t.Fatal("zero Overrides reports fields as present")
 	}
 	o.Seed = 7
@@ -230,8 +230,8 @@ func TestOverridePresence(t *testing.T) {
 	if !zero.HasSeed() || zero.Seed != 0 {
 		t.Fatal("explicitly marked seed 0 not expressible")
 	}
-	zero.Set.Nodes = true
-	if !zero.HasNodes() {
-		t.Fatal("explicitly marked nodes not reported present")
+	zero.Set.Epochs = true
+	if !zero.HasEpochs() {
+		t.Fatal("explicitly marked epochs not reported present")
 	}
 }

@@ -32,9 +32,15 @@ type Sweep struct {
 	Seeds []int64 `json:"seeds,omitempty"`
 }
 
+// MaxSweepPoints bounds a sweep's expanded grid. Expand checks the
+// axis-length product against it before allocating, so a small
+// document (an npserve /sweep body, say) cannot ask for gigabytes.
+const MaxSweepPoints = 10_000
+
 // Expand returns the normalized grid in deterministic order. Every
 // point is validated; the first bad combination aborts the expansion
-// with its coordinates.
+// with its coordinates, and a grid over MaxSweepPoints is rejected
+// before any point is built.
 func (sw Sweep) Expand() ([]Spec, error) {
 	rates := sw.Rates
 	if len(rates) == 0 {
@@ -57,7 +63,16 @@ func (sw Sweep) Expand() ([]Spec, error) {
 		}
 	}
 
-	specs := make([]Spec, 0, len(rates)*len(nodes)*len(modes)*len(seeds))
+	points := 1
+	for _, n := range []int{len(rates), len(nodes), len(modes), len(seeds)} {
+		// Dividing first keeps the product from overflowing.
+		if points > MaxSweepPoints/n {
+			return nil, fmt.Errorf("runspec: sweep grid %d × %d × %d × %d (rates × nodes × modes × seeds) exceeds %d points",
+				len(rates), len(nodes), len(modes), len(seeds), MaxSweepPoints)
+		}
+		points *= n
+	}
+	specs := make([]Spec, 0, points)
 	for _, rate := range rates {
 		for _, nn := range nodes {
 			for _, mode := range modes {

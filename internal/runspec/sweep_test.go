@@ -3,6 +3,7 @@ package runspec
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -117,5 +118,91 @@ func TestLoadSweepAxesOnly(t *testing.T) {
 	}
 	if len(specs) != 2 || specs[0].Scenario != DefaultScenario {
 		t.Fatalf("axes-only sweep expanded to %+v", specs)
+	}
+}
+
+// A grid is bounded before expansion allocates anything: one point
+// over MaxSweepPoints is rejected, a grid at the cap expands, and axis
+// lengths whose product overflows an int (65,536⁴ = 2⁶⁴ wraps to 0)
+// are rejected rather than wrapping into a small allocation.
+func TestSweepExpansionBounded(t *testing.T) {
+	rates := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(i + 1)
+		}
+		return out
+	}
+	base := Spec{Topo: "disk-adhoc", Traffic: "poisson"}
+	overCap := func(err error) bool { return err != nil && strings.Contains(err.Error(), "exceeds") }
+
+	if _, err := (Sweep{Base: base, Rates: rates(MaxSweepPoints + 1)}).Expand(); !overCap(err) {
+		t.Fatalf("%d-point grid: err = %v, want the %d-point cap", MaxSweepPoints+1, err, MaxSweepPoints)
+	}
+	specs, err := (Sweep{Base: base, Rates: rates(MaxSweepPoints / 2), Modes: []string{"nplus", "80211n"}}).Expand()
+	if err != nil || len(specs) != MaxSweepPoints {
+		t.Fatalf("grid at the cap: %d points, err %v", len(specs), err)
+	}
+
+	// The base is invalid, so a bound that let the wrapped product
+	// through fails fast on the first point instead of expanding.
+	const side = 1 << 16
+	huge := Sweep{
+		Base:  Spec{Topo: "no-such-generator"},
+		Rates: make([]float64, side),
+		Nodes: make([]int, side),
+		Modes: make([]string, side),
+		Seeds: make([]int64, side),
+	}
+	if _, err := huge.Expand(); !overCap(err) {
+		t.Fatalf("overflowing grid: err = %v, want the cap", err)
+	}
+}
+
+// The two workload sweeps beyond the paper keep their headline
+// shapes: every point serves packets under both MACs; across the load
+// sweep n+ delivers at least as much as 802.11n in aggregate
+// (secondary contention can only add air time); and every fairness
+// point has a Jain index in (0, 1].
+func TestWorkloadSweepsCompareBothMACs(t *testing.T) {
+	run := func(file string) []*Report {
+		t.Helper()
+		sw, err := LoadSweep("../../examples/specs/" + file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunSweep(sw, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modes := map[string]bool{}
+		for _, rep := range res.Reports {
+			modes[rep.Spec.Mode] = true
+			if rep.Totals.ThroughputMbps <= 0 {
+				t.Errorf("%s: %s point %+v delivered nothing", file, rep.Spec.Mode, rep.Spec)
+			}
+		}
+		if !modes["nplus"] || !modes["80211n"] {
+			t.Fatalf("%s does not compare both MACs: %v", file, modes)
+		}
+		return res.Reports
+	}
+
+	totals := map[string]float64{}
+	for _, rep := range run("delay-sweep.json") {
+		if rep.Totals.Served == 0 || rep.Totals.Delay == nil {
+			t.Errorf("load %g mode %s served no packets", rep.Spec.RatePPS, rep.Spec.Mode)
+		}
+		totals[rep.Spec.Mode] += rep.Totals.ThroughputMbps
+	}
+	if totals["nplus"] < totals["80211n"] {
+		t.Errorf("n+ delivered %.2f Mb/s < 802.11n %.2f Mb/s across the load sweep", totals["nplus"], totals["80211n"])
+	}
+
+	for _, rep := range run("fairsize.json") {
+		if j := rep.Totals.JainFairness; j <= 0 || j > 1 {
+			t.Errorf("%d nodes mode %s seed %d: Jain index %g outside (0, 1]",
+				rep.Spec.Nodes, rep.Spec.Mode, rep.Spec.SeedValue(), j)
+		}
 	}
 }

@@ -548,6 +548,38 @@ func TestBadSpecRejected(t *testing.T) {
 	}
 }
 
+// TestSweepOverCapRejected pins the grid bound at the edge: a small
+// /sweep body asking for more than runspec.MaxSweepPoints points is a
+// 400 before any point is built or queued.
+func TestSweepOverCapRejected(t *testing.T) {
+	counter := newExecCounter()
+	s := New(Config{Run: countingRun(counter)})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler(false))
+	defer ts.Close()
+
+	rates := make([]string, runspec.MaxSweepPoints+1)
+	for i := range rates {
+		rates[i] = fmt.Sprint(i + 1)
+	}
+	body := `{"base": {"topo": "disk-adhoc", "traffic": "poisson"}, "rates": [` + strings.Join(rates, ",") + `]}`
+	resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, msg)
+	}
+	if depth := metricValue(t, ts.URL, MetricQueueDepth); depth != 0 {
+		t.Errorf("queue_depth = %v after a rejected sweep, want 0", depth)
+	}
+	if got := counter.total(); got != 0 {
+		t.Errorf("over-cap sweep reached execution %d times", got)
+	}
+}
+
 // TestServedReportMatchesLocalRun is the end-to-end equivalence pin
 // with the real executor: the served bytes for a spec are exactly
 // what a local runspec.Run + Report.JSON produces, a repeated POST is

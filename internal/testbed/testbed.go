@@ -5,10 +5,9 @@
 // and reciprocity-based channel estimates with calibration error —
 // the ChannelProvider behind every MAC experiment.
 //
-// This package is the documented substitution for the USRP2 testbed
-// (DESIGN.md §2): we have no radios, so geometry + a standard
-// propagation model generate the same SNR statistics the paper's
-// placements produced.
+// This package substitutes for the USRP2 testbed: we have no radios,
+// so geometry + a standard propagation model generate the same SNR
+// statistics the paper's placements produced.
 package testbed
 
 import (
