@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/report_golden.json from the current code")
+var update = flag.Bool("update", false, "rewrite the testdata golden hash files from the current code")
 
 const goldenPath = "testdata/report_golden.json"
 
