@@ -45,18 +45,44 @@ func New(rows, cols int) *Matrix {
 // pipelines build dozens of same-shape matrices at once; allocating
 // them individually fragments the heap and dominates GC time.
 func NewBatch(count, rows, cols int) []*Matrix {
+	var b Batch
+	return b.Shape(count, rows, cols)
+}
+
+// Batch is reusable storage for a batch of same-shape matrices, laid
+// out as NewBatch lays them out. A caller that needs a fresh batch on
+// every step but keeps none past the next step holds one Batch and
+// calls Shape each time instead of NewBatch.
+type Batch struct {
+	structs []Matrix
+	data    []complex128
+	out     []*Matrix
+}
+
+// Shape returns count zero rows×cols matrices backed by b, reusing its
+// storage when it is large enough. The matrices of the previous Shape
+// call are overwritten.
+func (b *Batch) Shape(count, rows, cols int) []*Matrix {
 	if count < 0 || rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("cmplxmat: negative batch %d of %d×%d", count, rows, cols))
 	}
-	structs := make([]Matrix, count)
-	data := make([]complex128, count*rows*cols)
-	out := make([]*Matrix, count)
 	stride := rows * cols
-	for i := range out {
-		structs[i] = Matrix{rows: rows, cols: cols, data: data[i*stride : (i+1)*stride : (i+1)*stride]}
-		out[i] = &structs[i]
+	if n := count * stride; cap(b.data) < n {
+		b.data = make([]complex128, n)
+	} else {
+		b.data = b.data[:n]
+		clear(b.data)
 	}
-	return out
+	if cap(b.structs) < count {
+		b.structs = make([]Matrix, count)
+		b.out = make([]*Matrix, count)
+	}
+	b.structs, b.out = b.structs[:count], b.out[:count]
+	for i := range b.out {
+		b.structs[i] = Matrix{rows: rows, cols: cols, data: b.data[i*stride : (i+1)*stride : (i+1)*stride]}
+		b.out[i] = &b.structs[i]
+	}
+	return b.out
 }
 
 // FromSlice builds a rows×cols matrix from row-major data. The slice
@@ -223,6 +249,58 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	return c
 }
 
+// ConjTransposeMul returns mᴴ·b without materializing the transpose:
+// the elements equal m.ConjTranspose().Mul(b) bit for bit, and the
+// result is the only allocation.
+func (m *Matrix) ConjTransposeMul(b *Matrix) *Matrix {
+	c := New(m.cols, b.cols)
+	conjTransposeMulInto(c, m, b)
+	return c
+}
+
+// conjTransposeMulInto computes mᴴ·b into dst, which must be a zero
+// m.Cols()×b.Cols() matrix, with Mul's loop order and its skip of zero
+// terms, so the sums round exactly as Mul's do.
+func conjTransposeMulInto(dst, m, b *Matrix) {
+	if m.rows != b.rows {
+		panic(fmt.Sprintf("cmplxmat: ConjTransposeMul shape mismatch %d×%d ᴴ· %d×%d", m.rows, m.cols, b.rows, b.cols))
+	}
+	for i := 0; i < m.cols; i++ {
+		crow := dst.data[i*b.cols : (i+1)*b.cols]
+		for k := 0; k < m.rows; k++ {
+			a := cmplx.Conj(m.data[k*m.cols+i])
+			if a == 0 {
+				continue
+			}
+			brow := b.data[k*b.cols : (k+1)*b.cols]
+			for j := range brow {
+				crow[j] += a * brow[j]
+			}
+		}
+	}
+}
+
+// mulConjTransposeInto computes m·bᴴ into dst, which must be a zero
+// m.Rows()×b.Rows() matrix, with the arithmetic of
+// m.Mul(b.ConjTranspose()).
+func mulConjTransposeInto(dst, m, b *Matrix) {
+	if m.cols != b.cols {
+		panic(fmt.Sprintf("cmplxmat: MulConjTranspose shape mismatch %d×%d · (%d×%d)ᴴ", m.rows, m.cols, b.rows, b.cols))
+	}
+	for i := 0; i < m.rows; i++ {
+		crow := dst.data[i*b.rows : (i+1)*b.rows]
+		for k := 0; k < m.cols; k++ {
+			a := m.data[i*m.cols+k]
+			if a == 0 {
+				continue
+			}
+			for j := range crow {
+				crow[j] += a * cmplx.Conj(b.data[j*b.cols+k])
+			}
+		}
+	}
+}
+
 // MulVec returns the matrix-vector product m·v.
 func (m *Matrix) MulVec(v Vector) Vector {
 	if m.cols != len(v) {
@@ -318,12 +396,17 @@ func (m *Matrix) RowView(i int) Vector {
 // ConjTranspose returns the conjugate (Hermitian) transpose mᴴ.
 func (m *Matrix) ConjTranspose() *Matrix {
 	t := New(m.cols, m.rows)
+	conjTransposeInto(t, m)
+	return t
+}
+
+// conjTransposeInto writes mᴴ into dst (m.Cols()×m.Rows()).
+func conjTransposeInto(dst, m *Matrix) {
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
-			t.data[j*m.rows+i] = cmplx.Conj(m.data[i*m.cols+j])
+			dst.data[j*m.rows+i] = cmplx.Conj(m.data[i*m.cols+j])
 		}
 	}
-	return t
 }
 
 // Transpose returns the plain transpose mᵀ (no conjugation).

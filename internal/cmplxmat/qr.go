@@ -18,18 +18,65 @@ type QR struct {
 
 // DecomposeQR computes the full Householder QR decomposition of a.
 func DecomposeQR(a *Matrix) *QR {
-	m, n := a.rows, a.cols
 	r := a.Clone()
-	q := Identity(m)
+	q := Identity(a.rows)
+	householder(r, q, make(Vector, a.rows))
+	return &QR{Q: q, R: r}
+}
 
+// smallLen is the element count of the fixed-size arrays the kernels
+// keep their temporaries in. Every MAC shape fits (a node has at most
+// 4 antennas, so no side exceeds 4); a larger shape falls back to the
+// heap.
+const smallLen = 16
+
+// scratchMatrix returns a zero rows×cols matrix over buf when it fits,
+// and on the heap otherwise. Kernels declare buf as a local array, so
+// a temporary that fits stays on the goroutine's stack.
+func scratchMatrix(buf *[smallLen]complex128, rows, cols int) Matrix {
+	n := rows * cols
+	if n > smallLen {
+		return Matrix{rows: rows, cols: cols, data: make([]complex128, n)}
+	}
+	data := buf[:n]
+	clear(data)
+	return Matrix{rows: rows, cols: cols, data: data}
+}
+
+// qrScratch is the storage of one Householder factorization: R, Q and
+// the reflector. Declared as a local, it keeps the factorization of
+// a matrix with at most 4 rows and smallLen elements off the heap.
+type qrScratch struct {
+	r, q [smallLen]complex128
+	v    [4]complex128
+}
+
+// start returns a zero m×n R for the caller to fill, the m×m identity
+// Q and the reflector scratch, in s when they fit.
+func (s *qrScratch) start(m, n int) (r, q Matrix, v Vector) {
+	r = scratchMatrix(&s.r, m, n)
+	q = scratchMatrix(&s.q, m, m)
+	for i := 0; i < m; i++ {
+		q.data[i*m+i] = 1
+	}
+	if m <= len(s.v) {
+		v = s.v[:m]
+	} else {
+		v = make(Vector, m)
+	}
+	return r, q, v
+}
+
+// householder factors r (m×n) in place into the upper-triangular R of
+// r = Q·R and accumulates Q into q, which must hold the m×m identity.
+// scratch is the reflector, of length m. Every kernel that needs a QR
+// runs this one core, in whatever storage it owns.
+func householder(r, q *Matrix, scratch Vector) {
+	m, n := r.rows, r.cols
 	steps := n
 	if m-1 < steps {
 		steps = m - 1
 	}
-	// One reflector scratch reused across steps: QR runs per bin per
-	// candidate plan in the MAC hot path, so per-step temporaries add
-	// up to real GC pressure.
-	scratch := make(Vector, m)
 	for k := 0; k < steps; k++ {
 		// Build the Householder reflector that zeroes R[k+1:,k]:
 		// v = x + e^{iθ}·α·e₁ (θ the phase of x₀, the sign choice that
@@ -64,7 +111,44 @@ func DecomposeQR(a *Matrix) *QR {
 			r.data[i*n+j] = 0
 		}
 	}
-	return &QR{Q: q, R: r}
+}
+
+// rankOf returns the numerical rank of a factored R: the diagonal
+// entries above tol·max(m,n)·scale, where scale is the largest element
+// magnitude of the matrix that was factored.
+func rankOf(r *Matrix, tol, scale float64) int {
+	dim := r.rows
+	if r.cols > dim {
+		dim = r.cols
+	}
+	thresh := tol * float64(dim) * scale
+	rank := 0
+	for i := 0; i < min(r.rows, r.cols); i++ {
+		if cmplx.Abs(r.data[i*r.cols+i]) > thresh {
+			rank++
+		}
+	}
+	return rank
+}
+
+// complementBasis factors the filled r and returns an orthonormal
+// basis of the orthogonal complement of its column space: the columns
+// of Q past the numerical rank. q and v are as for householder. The
+// result is the only allocation.
+func complementBasis(r, q *Matrix, v Vector, tol float64) *Matrix {
+	rank := factorRank(r, q, v, tol)
+	if rank >= r.rows {
+		return New(r.rows, 0)
+	}
+	return q.Submatrix(0, r.rows, rank, r.rows)
+}
+
+// factorRank factors the filled r (see householder) and returns its
+// numerical rank.
+func factorRank(r, q *Matrix, v Vector, tol float64) int {
+	scale := r.MaxAbs()
+	householder(r, q, v)
+	return rankOf(r, tol, scale)
 }
 
 // applyHouseholderLeft applies H = I − 2vvᴴ to rows k..m-1 of a,
@@ -145,76 +229,148 @@ func NullSpace(a *Matrix, tol float64) *Matrix {
 	if tol <= 0 {
 		tol = DefaultTol
 	}
-	mRows, mCols := a.rows, a.cols
-	if mCols == 0 {
+	if a.cols == 0 {
 		return New(0, 0)
 	}
-	if mRows == 0 {
-		return Identity(mCols)
+	if a.rows == 0 {
+		return Identity(a.cols)
 	}
-	ah := a.ConjTranspose() // M×K
-	qr := DecomposeQR(ah)
-	scale := a.MaxAbs()
-	dim := mRows
-	if mCols > dim {
-		dim = mCols
+	var w qrScratch
+	r, q, v := w.start(a.cols, a.rows)
+	conjTransposeInto(&r, a)
+	return complementBasis(&r, &q, v, tol)
+}
+
+// Block is one block of rows of a stacked matrix, for AppendNullSpace:
+// B itself when A is nil, otherwise the product Aᴴ·B, with the
+// arithmetic of A.ConjTransposeMul(B).
+type Block struct{ A, B *Matrix }
+
+// rows returns the number of rows the block contributes.
+func (b Block) rows() int {
+	if b.A == nil {
+		return b.B.rows
 	}
-	thresh := tol * float64(dim) * scale
-	rank := 0
-	n := min(ah.rows, ah.cols)
-	for i := 0; i < n; i++ {
-		if cmplx.Abs(qr.R.At(i, i)) > thresh {
-			rank++
+	return b.A.cols
+}
+
+// AppendNullSpace appends to dst, as fresh vectors, the first n
+// columns of NullSpace(VStack(rows…), tol), where rows are the blocks'
+// rows in order, and returns the extended slice and the dimension of
+// the null space (fewer than n columns are appended when it is
+// smaller). The stack is built straight into the factorization's
+// storage, so the appended vectors are the only allocations.
+//
+// It is the fused form of Eq. 7's solve: a joining transmitter's
+// pre-coding vectors are the leading null-space columns of the
+// stacked constraint rows of every receiver it must protect.
+func AppendNullSpace(dst []Vector, blocks []Block, n int, tol float64) ([]Vector, int) {
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	// VStack's shape rules: zero-row blocks contribute nothing, the
+	// others must share a column count, and no rows at all stack to a
+	// 0×0 matrix, whose null space is empty.
+	rows, cols := 0, -1
+	for _, b := range blocks {
+		br := b.rows()
+		if br == 0 {
+			continue
 		}
+		if cols == -1 {
+			cols = b.B.cols
+		} else if b.B.cols != cols {
+			panic(fmt.Sprintf("cmplxmat: AppendNullSpace column mismatch %d vs %d", b.B.cols, cols))
+		}
+		rows += br
 	}
-	if rank >= mCols {
-		return New(mCols, 0)
+	if cols <= 0 {
+		return dst, 0
 	}
-	return qr.Q.Submatrix(0, mCols, rank, mCols)
+	var buf [smallLen]complex128
+	stack := scratchMatrix(&buf, rows, cols)
+	r0 := 0
+	for _, b := range blocks {
+		br := b.rows()
+		if br == 0 {
+			continue
+		}
+		blk := Matrix{rows: br, cols: cols, data: stack.data[r0*cols : (r0+br)*cols]}
+		if b.A == nil {
+			copy(blk.data, b.B.data)
+		} else {
+			conjTransposeMulInto(&blk, b.A, b.B)
+		}
+		r0 += br
+	}
+	var w qrScratch
+	r, q, v := w.start(cols, rows)
+	conjTransposeInto(&r, &stack)
+	dim := cols - factorRank(&r, &q, v, tol)
+	if dim < 0 {
+		dim = 0
+	}
+	for j := cols - dim; j < cols-dim+min(n, dim); j++ {
+		col := make(Vector, cols)
+		for i := range col {
+			col[i] = q.data[i*cols+j]
+		}
+		dst = append(dst, col)
+	}
+	return dst, dim
 }
 
 // OrthonormalBasis returns an orthonormal basis for the column space
 // of a as the columns of the returned matrix (m×rank).
 func OrthonormalBasis(a *Matrix, tol float64) *Matrix {
+	var w qrScratch
+	r, q, v := w.start(a.rows, a.cols)
+	copy(r.data, a.data)
+	return orthonormalBasis(&r, &q, v, tol)
+}
+
+// OrthonormalBasisOfColumns returns OrthonormalBasis(ColumnsToMatrix(vs),
+// tol) without building the column matrix: the result is the only
+// allocation.
+func OrthonormalBasisOfColumns(vs []Vector, tol float64) *Matrix {
+	var w qrScratch
+	r, q, v := w.start(columnsShape(vs))
+	columnsInto(&r, vs)
+	return orthonormalBasis(&r, &q, v, tol)
+}
+
+// orthonormalBasis is OrthonormalBasis of the filled r, which it
+// factors in place (q and v as for householder).
+func orthonormalBasis(r, q *Matrix, v Vector, tol float64) *Matrix {
 	if tol <= 0 {
 		tol = DefaultTol
 	}
-	if a.rows == 0 || a.cols == 0 {
-		return New(a.rows, 0)
+	if r.rows == 0 || r.cols == 0 {
+		return New(r.rows, 0)
 	}
-	if a.cols == 1 {
+	scale := r.MaxAbs()
+	if r.cols == 1 {
 		// One direction: the basis is the normalized column (or empty
 		// when it is numerically zero). |R₀₀| of the 1-column QR is
 		// exactly ‖v‖, so the rank decision matches the general path;
 		// the result differs from Householder output only by a unit
 		// phase, which spans the same space.
-		v := a.Col(0)
-		n := v.Norm()
-		if n <= tol*float64(a.rows)*a.MaxAbs() || n == 0 {
-			return New(a.rows, 0)
+		n := Vector(r.data).Norm()
+		if n <= tol*float64(r.rows)*scale || n == 0 {
+			return New(r.rows, 0)
 		}
-		out := New(a.rows, 1)
-		out.SetCol(0, v.Scale(complex(1/n, 0)))
+		out := New(r.rows, 1)
+		s := complex(1/n, 0)
+		for i, x := range r.data {
+			out.data[i] = s * x
+		}
 		return out
 	}
-	qr := DecomposeQR(a)
-	scale := a.MaxAbs()
+	householder(r, q, v)
 	if scale == 0 {
-		return New(a.rows, 0)
+		return New(r.rows, 0)
 	}
-	dim := a.rows
-	if a.cols > dim {
-		dim = a.cols
-	}
-	thresh := tol * float64(dim) * scale
-	rank := 0
-	n := min(a.rows, a.cols)
-	for i := 0; i < n; i++ {
-		if cmplx.Abs(qr.R.At(i, i)) > thresh {
-			rank++
-		}
-	}
-	return qr.Q.Submatrix(0, a.rows, 0, rank)
+	return q.Submatrix(0, r.rows, 0, rankOf(r, tol, scale))
 }
 
 // OrthogonalComplement returns an orthonormal basis for the orthogonal
@@ -236,27 +392,29 @@ func OrthogonalComplement(a *Matrix, tol float64) *Matrix {
 	if tol <= 0 {
 		tol = DefaultTol
 	}
-	// null(aᴴ) = complement of col(a). NullSpace(aᴴ) would QR (aᴴ)ᴴ,
-	// so decompose a directly and skip both transpose copies; the
-	// rank threshold below matches NullSpace's exactly.
-	qr := DecomposeQR(a)
-	scale := a.MaxAbs()
-	dim := a.rows
-	if a.cols > dim {
-		dim = a.cols
+	// null(aᴴ) = complement of col(a): factor a directly, with
+	// NullSpace's rank threshold.
+	var w qrScratch
+	r, q, v := w.start(a.rows, a.cols)
+	copy(r.data, a.data)
+	return complementBasis(&r, &q, v, tol)
+}
+
+// OrthogonalComplementOfColumns returns
+// OrthogonalComplement(ColumnsToMatrix(vs), tol) without building the
+// column matrix: the result is the only allocation.
+func OrthogonalComplementOfColumns(vs []Vector, tol float64) *Matrix {
+	rows, cols := columnsShape(vs)
+	if rows == 0 {
+		return New(0, 0)
 	}
-	thresh := tol * float64(dim) * scale
-	rank := 0
-	n := min(a.rows, a.cols)
-	for i := 0; i < n; i++ {
-		if cmplx.Abs(qr.R.At(i, i)) > thresh {
-			rank++
-		}
+	if tol <= 0 {
+		tol = DefaultTol
 	}
-	if rank >= a.rows {
-		return New(a.rows, 0)
-	}
-	return qr.Q.Submatrix(0, a.rows, rank, a.rows)
+	var w qrScratch
+	r, q, v := w.start(rows, cols)
+	columnsInto(&r, vs)
+	return complementBasis(&r, &q, v, tol)
 }
 
 // ProjectorOnto returns the orthogonal projector P = B·Bᴴ where B is
@@ -347,35 +505,71 @@ func LeastSquares(a *Matrix, b Vector) (Vector, error) {
 // PseudoInverse returns the Moore–Penrose pseudo-inverse A⁺ = (AᴴA)⁻¹Aᴴ
 // for a full-column-rank matrix (the zero-forcing receive filter).
 func PseudoInverse(a *Matrix) (*Matrix, error) {
+	out := New(a.cols, a.rows)
+	if err := pseudoInverseInto(out, a); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ProjectedPseudoInverse returns A⁺·uᴴ for A = uᴴ·H, where H's columns
+// are cols: the zero-forcing filter of the columns as seen inside the
+// column space of u, acting on the full space. A nil u stands for the
+// identity, giving H⁺. It equals
+// PseudoInverse(u.ConjTransposeMul(ColumnsToMatrix(cols))) times uᴴ
+// bit for bit, and the result is its only allocation.
+func ProjectedPseudoInverse(u *Matrix, cols []Vector) (*Matrix, error) {
+	var hBuf, aBuf, pBuf [smallLen]complex128
+	rows, n := columnsShape(cols)
+	h := scratchMatrix(&hBuf, rows, n)
+	columnsInto(&h, cols)
+	if u == nil {
+		return PseudoInverse(&h)
+	}
+	a := scratchMatrix(&aBuf, u.cols, h.cols)
+	conjTransposeMulInto(&a, u, &h)
+	p := scratchMatrix(&pBuf, a.cols, a.rows)
+	if err := pseudoInverseInto(&p, &a); err != nil {
+		return nil, err
+	}
+	out := New(p.rows, u.rows)
+	mulConjTransposeInto(out, &p, u)
+	return out, nil
+}
+
+// pseudoInverseInto writes A⁺ into dst, a zero a.cols×a.rows matrix,
+// keeping the Gram matrix and its inverse on the stack.
+func pseudoInverseInto(dst, a *Matrix) error {
 	if a.cols == 0 {
-		return New(0, a.rows), nil
+		return nil
 	}
 	if a.cols == 1 {
 		// Scalar Gram: A⁺ = aᴴ/‖a‖². This is the single-stream
 		// zero-forcing filter — by far the most common decoder shape —
 		// and the closed form reproduces the QR path bit-for-bit (a
-		// 1×1 QR has no reflection steps) without its allocations.
+		// 1×1 QR has no reflection steps).
 		var gram complex128
 		for _, x := range a.data {
 			gram += cmplx.Conj(x) * x
 		}
 		if gram == 0 {
-			return nil, fmt.Errorf("cmplxmat: PseudoInverse: %w", errSingular)
+			return fmt.Errorf("cmplxmat: PseudoInverse: %w", errSingular)
 		}
 		inv := 1 / gram
-		out := New(1, a.rows)
 		for i, x := range a.data {
-			out.data[i] = inv * cmplx.Conj(x)
+			dst.data[i] = inv * cmplx.Conj(x)
 		}
-		return out, nil
+		return nil
 	}
-	ah := a.ConjTranspose()
-	gram := ah.Mul(a)
-	inv, err := Inverse(gram)
-	if err != nil {
-		return nil, fmt.Errorf("cmplxmat: PseudoInverse: %w", err)
+	var gBuf, iBuf [smallLen]complex128
+	gram := scratchMatrix(&gBuf, a.cols, a.cols)
+	conjTransposeMulInto(&gram, a, a)
+	inv := scratchMatrix(&iBuf, a.cols, a.cols)
+	if err := inverseInto(&inv, &gram); err != nil {
+		return fmt.Errorf("cmplxmat: PseudoInverse: %w", err)
 	}
-	return inv.Mul(ah), nil
+	mulConjTransposeInto(dst, &inv, a)
+	return nil
 }
 
 // errSingular is the shared singularity failure.
@@ -386,6 +580,16 @@ func Inverse(a *Matrix) (*Matrix, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("cmplxmat: Inverse needs a square matrix, got %d×%d", a.rows, a.cols)
 	}
+	inv := New(a.rows, a.cols)
+	if err := inverseInto(inv, a); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
+
+// inverseInto writes a⁻¹ into inv (same square shape), factoring on the
+// stack when a fits.
+func inverseInto(inv, a *Matrix) error {
 	n := a.rows
 	// Closed forms for the 1×1 and 2×2 systems that dominate the MIMO
 	// decoder path (Gram matrices of 1–2 streams); larger systems take
@@ -393,50 +597,50 @@ func Inverse(a *Matrix) (*Matrix, error) {
 	if n == 1 {
 		x := a.data[0]
 		if x == 0 { // matches the QR test: |R₀₀| ≤ tol·|a| only at zero
-			return nil, fmt.Errorf("cmplxmat: Inverse: matrix is singular")
+			return fmt.Errorf("cmplxmat: Inverse: matrix is singular")
 		}
-		inv := New(1, 1)
 		inv.data[0] = 1 / x
-		return inv, nil
+		return nil
 	}
 	if n == 2 {
 		det := a.data[0]*a.data[3] - a.data[1]*a.data[2]
 		scale := a.MaxAbs()
 		if cmplx.Abs(det) <= DefaultTol*2*scale*scale {
-			return nil, fmt.Errorf("cmplxmat: Inverse: matrix is singular")
+			return fmt.Errorf("cmplxmat: Inverse: matrix is singular")
 		}
-		inv := New(2, 2)
 		d := 1 / det
 		inv.data[0] = a.data[3] * d
 		inv.data[1] = -a.data[1] * d
 		inv.data[2] = -a.data[2] * d
 		inv.data[3] = a.data[0] * d
-		return inv, nil
+		return nil
 	}
-	inv := New(n, n)
-	qr := DecomposeQR(a)
+	var w qrScratch
+	r, q, x := w.start(n, n)
+	copy(r.data, a.data)
+	householder(&r, &q, x)
 	scale := a.MaxAbs()
 	thresh := DefaultTol * float64(n) * scale
 	for i := 0; i < n; i++ {
-		if cmplx.Abs(qr.R.At(i, i)) <= thresh {
-			return nil, fmt.Errorf("cmplxmat: Inverse: matrix is singular")
+		if cmplx.Abs(r.data[i*n+i]) <= thresh {
+			return fmt.Errorf("cmplxmat: Inverse: matrix is singular")
 		}
 	}
-	qh := qr.Q.ConjTranspose()
-	// Solve R·X = Qᴴ column by column (x is fully overwritten by each
-	// back substitution, so one buffer serves all columns).
-	x := make(Vector, n)
+	// Solve R·X = Qᴴ column by column. The reflector scratch is free
+	// once factored, and each back substitution fully overwrites it.
 	for c := 0; c < n; c++ {
 		for i := n - 1; i >= 0; i-- {
-			s := qh.At(i, c)
+			s := cmplx.Conj(q.data[c*n+i]) // (Qᴴ)[i][c]
 			for j := i + 1; j < n; j++ {
-				s -= qr.R.At(i, j) * x[j]
+				s -= r.data[i*n+j] * x[j]
 			}
-			x[i] = s / qr.R.At(i, i)
+			x[i] = s / r.data[i*n+i]
 		}
-		inv.SetCol(c, x)
+		for i := 0; i < n; i++ {
+			inv.data[i*n+c] = x[i]
+		}
 	}
-	return inv, nil
+	return nil
 }
 
 // ConditionNumber estimates the 2-norm condition number of a square

@@ -146,18 +146,28 @@ func (v Vector) AsRow() *Matrix {
 // ColumnsToMatrix assembles column vectors (all the same length) into
 // a matrix whose j-th column is vs[j].
 func ColumnsToMatrix(vs []Vector) *Matrix {
+	m := New(columnsShape(vs))
+	columnsInto(m, vs)
+	return m
+}
+
+// columnsShape returns the shape of ColumnsToMatrix(vs).
+func columnsShape(vs []Vector) (rows, cols int) {
 	if len(vs) == 0 {
-		return New(0, 0)
+		return 0, 0
 	}
-	rows := len(vs[0])
-	m := New(rows, len(vs))
+	return len(vs[0]), len(vs)
+}
+
+// columnsInto writes vs as the columns of m, whose shape is
+// columnsShape(vs).
+func columnsInto(m *Matrix, vs []Vector) {
 	for j, v := range vs {
-		if len(v) != rows {
-			panic(fmt.Sprintf("cmplxmat: ColumnsToMatrix ragged column %d: %d != %d", j, len(v), rows))
+		if len(v) != m.rows {
+			panic(fmt.Sprintf("cmplxmat: ColumnsToMatrix ragged column %d: %d != %d", j, len(v), m.rows))
 		}
 		m.SetCol(j, v)
 	}
-	return m
 }
 
 // Columns splits m into its column vectors.

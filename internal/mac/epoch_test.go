@@ -50,7 +50,7 @@ func (p *flatProvider) Channel(from, to NodeID) []*cmplxmat.Matrix {
 	return out
 }
 
-func (p *flatProvider) Estimate(from, to NodeID, rng *rand.Rand) []*cmplxmat.Matrix {
+func (p *flatProvider) Estimate(from, to NodeID, rng *rand.Rand, _ *cmplxmat.Batch) []*cmplxmat.Matrix {
 	truth := p.Channel(from, to)
 	out := make([]*cmplxmat.Matrix, len(truth))
 	for i, h := range truth {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
+	"strconv"
 
 	"nplus/internal/channel"
 	"nplus/internal/cmplxmat"
@@ -94,12 +94,10 @@ type Scenario struct {
 	// early-exit bounds, forcing the full subset × cap sweep. Tests
 	// use it to assert the memoized sweep is result-equivalent.
 	noPlanMemo bool
-}
-
-// estimate fetches the reciprocity-derived channel estimate for
-// precoding.
-func (sc *Scenario) estimate(from, to NodeID) []*cmplxmat.Matrix {
-	return sc.Provider.Estimate(from, to, sc.RNG)
+	// attempt is the state of the contention attempt being planned. It
+	// lives as long as the Scenario so that its maps keep their storage
+	// from one attempt to the next; beginAttempt clears it.
+	attempt planCtx
 }
 
 // meanGain returns the average per-bin channel power gain
@@ -176,6 +174,13 @@ type planCtx struct {
 	parts map[NodeID]*binPartition
 	rows  map[*Active][]*cmplxmat.Matrix
 	seen  map[string]bool
+	key   []byte // seenAlloc's key buffer
+	// estBufs hold the attempt's estimates, one per receiver, in draw
+	// order; the first nEst are in use. No plan keeps an estimate
+	// (precoders and constraint rows copy what they read), so the next
+	// attempt reuses the storage.
+	estBufs []*cmplxmat.Batch
+	nEst    int
 }
 
 // binPartition is the per-bin interference partition at one receiver
@@ -190,16 +195,30 @@ type binPartition struct {
 	comp  []*cmplxmat.Matrix
 }
 
-func newPlanCtx(tx NodeID) *planCtx {
-	return &planCtx{
-		tx:    tx,
-		est:   make(map[NodeID][]*cmplxmat.Matrix),
-		gain:  make(map[NodeID]float64),
-		uperp: make(map[NodeID][]*cmplxmat.Matrix),
-		parts: make(map[NodeID]*binPartition),
-		rows:  make(map[*Active][]*cmplxmat.Matrix),
-		seen:  make(map[string]bool),
+// beginAttempt starts a contention attempt by tx: it clears the
+// Scenario's attempt state and returns it. Clearing is what keeps
+// attempts apart, not just a saving: rows is keyed by *Active, and a
+// stale entry under a recycled pointer would hand one plan another
+// plan's rows.
+func (sc *Scenario) beginAttempt(tx NodeID) *planCtx {
+	ctx := &sc.attempt
+	if ctx.est == nil {
+		ctx.est = make(map[NodeID][]*cmplxmat.Matrix)
+		ctx.gain = make(map[NodeID]float64)
+		ctx.uperp = make(map[NodeID][]*cmplxmat.Matrix)
+		ctx.parts = make(map[NodeID]*binPartition)
+		ctx.rows = make(map[*Active][]*cmplxmat.Matrix)
+		ctx.seen = make(map[string]bool)
 	}
+	ctx.tx = tx
+	ctx.nEst = 0
+	clear(ctx.est)
+	clear(ctx.gain)
+	clear(ctx.uperp)
+	clear(ctx.parts)
+	clear(ctx.rows)
+	clear(ctx.seen)
+	return ctx
 }
 
 // constraintRowsAt caches, per incumbent, the per-bin Eq. 7
@@ -211,7 +230,7 @@ func (sc *Scenario) constraintRowsAt(ctx *planCtx, a *Active, est []*cmplxmat.Ma
 	}
 	out := make([]*cmplxmat.Matrix, sc.NumBins)
 	for b := 0; b < sc.NumBins; b++ {
-		out[b] = a.UPerp[b].ConjTranspose().Mul(est[b])
+		out[b] = a.UPerp[b].ConjTransposeMul(est[b])
 	}
 	ctx.rows[a] = out
 	return out
@@ -223,7 +242,11 @@ func (sc *Scenario) estimateAt(ctx *planCtx, rx NodeID) []*cmplxmat.Matrix {
 	if e, ok := ctx.est[rx]; ok {
 		return e
 	}
-	e := sc.estimate(ctx.tx, rx)
+	if ctx.nEst == len(ctx.estBufs) {
+		ctx.estBufs = append(ctx.estBufs, new(cmplxmat.Batch))
+	}
+	e := sc.Provider.Estimate(ctx.tx, rx, sc.RNG, ctx.estBufs[ctx.nEst])
+	ctx.nEst++
 	ctx.est[rx] = e
 	return e
 }
@@ -279,7 +302,7 @@ func (sc *Scenario) complementAt(ctx *planCtx, rx NodeID, rxAnt int, actives []*
 			u[b] = id
 			continue
 		}
-		u[b] = cmplxmat.OrthogonalComplement(cmplxmat.ColumnsToMatrix(basis), 0)
+		u[b] = cmplxmat.OrthogonalComplementOfColumns(basis, 0)
 		part.comp[b] = u[b]
 	}
 	ctx.uperp[rx] = u
@@ -287,16 +310,25 @@ func (sc *Scenario) complementAt(ctx *planCtx, rx NodeID, rxAnt int, actives []*
 	return u
 }
 
-// allocKey identifies a candidate plan within one attempt: the
-// destination flows and the per-destination stream counts. Two
+// seenAlloc reports whether the candidate plan (dests, alloc) was
+// already planned in this attempt, and records it. The key is the
+// destination flows and the per-destination stream counts: two
 // candidates with the same key run the identical precoding problem on
 // the identical attempt-wide estimates.
-func allocKey(dests []Flow, alloc []int) string {
-	var sb strings.Builder
+func (ctx *planCtx) seenAlloc(dests []Flow, alloc []int) bool {
+	key := ctx.key[:0]
 	for d, f := range dests {
-		fmt.Fprintf(&sb, "%d:%d;", f.ID, alloc[d])
+		key = strconv.AppendInt(key, int64(f.ID), 10)
+		key = append(key, ':')
+		key = strconv.AppendInt(key, int64(alloc[d]), 10)
+		key = append(key, ';')
 	}
-	return sb.String()
+	ctx.key = key
+	if ctx.seen[string(key)] {
+		return true
+	}
+	ctx.seen[string(key)] = true
+	return false
 }
 
 // errPlanMemo signals that a candidate allocation was already
@@ -363,7 +395,7 @@ func (sc *Scenario) PlanJoinGroup(req JoinRequest, actives []*Active) ([]*Active
 	if len(req.Dests) == 0 {
 		return nil, errors.New("mac: join request with no destinations")
 	}
-	group, err := sc.planJoinGroup(req, actives, newPlanCtx(req.Dests[0].Tx))
+	group, err := sc.planJoinGroup(req, actives, sc.beginAttempt(req.Dests[0].Tx))
 	if err != nil {
 		return nil, err
 	}
@@ -431,12 +463,8 @@ func (sc *Scenario) planJoinGroup(req JoinRequest, actives []*Active, ctx *planC
 	}
 
 	for {
-		if !sc.noPlanMemo {
-			key := allocKey(req.Dests, alloc)
-			if ctx.seen[key] {
-				return nil, errPlanMemo
-			}
-			ctx.seen[key] = true
+		if !sc.noPlanMemo && ctx.seenAlloc(req.Dests, alloc) {
+			return nil, errPlanMemo
 		}
 		total := 0
 		for _, s := range alloc {
@@ -541,7 +569,7 @@ func (sc *Scenario) buildActives(req JoinRequest, actives []*Active, ctx *planCt
 		// exactly the attempt's incumbent set, whose partition
 		// complementAt already cached on the ctx.
 		var part *binPartition
-		if ctx != nil && len(group) == 1 {
+		if len(group) == 1 {
 			part = ctx.parts[a.Flow.Rx]
 		}
 		if err := sc.finalizeAtReceiver(a, known, part); err != nil {
@@ -615,7 +643,7 @@ func (sc *Scenario) finalizeAtReceiver(a *Active, actives []*Active, part *binPa
 			buildInterference()
 			basis, leak, scratch = partitionInterferenceScratch(interference, b, noise, capacity, scratch)
 			if len(basis) > 0 {
-				uPerpInterf = cmplxmat.OrthogonalComplement(cmplxmat.ColumnsToMatrix(basis), 0)
+				uPerpInterf = cmplxmat.OrthogonalComplementOfColumns(basis, 0)
 			}
 		}
 		a.baseLeakage[b] = leak
@@ -661,21 +689,26 @@ func (sc *Scenario) advertise(a *Active) {
 	}
 	wanted := a.effAt[a.Flow.Rx] // cached by finalizeAtReceiver
 	a.UPerp = make([]*cmplxmat.Matrix, sc.NumBins)
+	n := a.Flow.RxAntennas
+	// Per-bin scratch: the Uᴴ·v projection, then one direction per
+	// stream. The directions only feed the basis, which copies them.
+	scratch := make(cmplxmat.Vector, (1+a.Streams)*n)
+	proj := scratch[:n]
 	dirs := make([]cmplxmat.Vector, 0, a.Streams)
-	proj := make(cmplxmat.Vector, a.Flow.RxAntennas) // Uᴴ·v scratch
 	for b := 0; b < sc.NumBins; b++ {
 		uPerpInterf := a.decodeSpace[b]
 		dirs = dirs[:0]
 		for s := 0; s < a.Streams; s++ {
 			v := wanted[s][b]
+			dir := scratch[(1+s)*n : (2+s)*n]
 			if uPerpInterf != nil {
 				// U·(Uᴴ·v): two thin mat-vecs instead of building the
 				// N×N projector per stream.
-				v = uPerpInterf.MulVec(uPerpInterf.ConjTransposeMulVecInto(proj[:uPerpInterf.Cols()], v))
+				v = uPerpInterf.MulVecInto(dir, uPerpInterf.ConjTransposeMulVecInto(proj[:uPerpInterf.Cols()], v))
 			}
 			if e := sc.AlignmentSpaceError; e > 0 {
 				if uPerpInterf == nil {
-					v = v.Clone() // the EffectiveAt cache is read-only
+					v = dir[:copy(dir, v)] // the EffectiveAt cache is read-only
 				}
 				sigma := e / math.Sqrt2
 				for i := range v {
@@ -686,7 +719,7 @@ func (sc *Scenario) advertise(a *Active) {
 			}
 			dirs = append(dirs, v)
 		}
-		a.UPerp[b] = cmplxmat.OrthonormalBasis(cmplxmat.ColumnsToMatrix(dirs), 0)
+		a.UPerp[b] = cmplxmat.OrthonormalBasisOfColumns(dirs, 0)
 	}
 }
 
@@ -874,7 +907,7 @@ func (sc *Scenario) PlanBest(req JoinRequest, actives []*Active, beamform, mustT
 	// One contention attempt = one channel estimate per receiver: the
 	// ctx shares estimates, admission gains, interference complements,
 	// and already-planned allocations across every candidate below.
-	ctx := newPlanCtx(req.Dests[0].Tx)
+	ctx := sc.beginAttempt(req.Dests[0].Tx)
 	// Candidate destination subsets: the full set plus each receiver
 	// solo (dropping a receiver whose link is in a fade often unlocks
 	// higher aggregate rate than force-sharing streams with it).
@@ -961,23 +994,12 @@ func (sc *Scenario) PlanBest(req JoinRequest, actives []*Active, beamform, mustT
 	return nil, lastErr
 }
 
-// PlanBeamforming computes a multi-user beamforming transmission per
-// Aryafar et al. [7] — the §6.4 baseline. Beamforming has no notion
-// of joining: the request must be the only transmission on the medium
-// (the winner pre-codes all streams itself).
-func (sc *Scenario) PlanBeamforming(req JoinRequest) ([]*Active, error) {
-	if len(req.Dests) == 0 {
-		return nil, errors.New("mac: join request with no destinations")
-	}
-	group, err := sc.planBeamforming(req, newPlanCtx(req.Dests[0].Tx))
-	if err != nil {
-		return nil, err
-	}
-	return sc.advertiseGroup(group), nil
-}
-
-// planBeamforming is PlanBeamforming against an attempt-wide planCtx
-// (shared estimates + allocation memo), mirroring planJoinGroup.
+// planBeamforming computes a multi-user beamforming transmission per
+// Aryafar et al. [7] — the §6.4 baseline — against an attempt-wide
+// planCtx (shared estimates + allocation memo), mirroring
+// planJoinGroup. Beamforming has no notion of joining: the request
+// must be the only transmission on the medium (the winner pre-codes
+// all streams itself).
 func (sc *Scenario) planBeamforming(req JoinRequest, ctx *planCtx) ([]*Active, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
@@ -990,12 +1012,8 @@ func (sc *Scenario) planBeamforming(req JoinRequest, ctx *planCtx) ([]*Active, e
 		avail = req.MaxTotalStreams
 	}
 	alloc := roundRobinAlloc(req.Dests, avail)
-	if !sc.noPlanMemo {
-		key := allocKey(req.Dests, alloc)
-		if ctx.seen[key] {
-			return nil, errPlanMemo
-		}
-		ctx.seen[key] = true
+	if !sc.noPlanMemo && ctx.seenAlloc(req.Dests, alloc) {
+		return nil, errPlanMemo
 	}
 	total := 0
 	for _, s := range alloc {

@@ -47,8 +47,10 @@ type ChannelProvider interface {
 	// Estimate returns the channel estimate available to `from` for
 	// precoding toward `to` — acquired via reciprocity from the
 	// handshake, so it carries estimation noise and residual
-	// calibration error.
-	Estimate(from, to NodeID, rng *rand.Rand) []*cmplxmat.Matrix
+	// calibration error. The provider may build the estimate in buf
+	// (nil means fresh storage); the caller keeps it only until it
+	// reuses buf.
+	Estimate(from, to NodeID, rng *rand.Rand, buf *cmplxmat.Batch) []*cmplxmat.Matrix
 	// NoisePower returns the per-subcarrier noise floor (linear; the
 	// convention throughout is a unit reference floor).
 	NoisePower() float64

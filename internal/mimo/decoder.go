@@ -73,21 +73,11 @@ func NewDecoder(n int, uPerp *cmplxmat.Matrix, wanted []cmplxmat.Vector) (*Decod
 		}
 		return &Decoder{n: n, streams: 1, g: g, gNormSq: []float64{row.NormSq()}}, nil
 	}
-	hw := cmplxmat.ColumnsToMatrix(wanted)
-	// With no unwanted space (nil uPerp, the full-space receiver of a
-	// first contention winner — the common case on an idle medium)
-	// U⊥ = I, so A = Hw and g = A⁺ directly.
-	a := hw
-	if uPerp != nil {
-		a = uPerp.ConjTranspose().Mul(hw)
-	}
-	pinv, err := cmplxmat.PseudoInverse(a)
+	// g = A⁺·U⊥ᴴ with A = U⊥ᴴ·Hw; a nil uPerp (the full-space
+	// receiver of a first contention winner) means U⊥ = I, so g = Hw⁺.
+	g, err := cmplxmat.ProjectedPseudoInverse(uPerp, wanted)
 	if err != nil {
 		return nil, fmt.Errorf("mimo: wanted streams not separable in decoding space: %w", err)
-	}
-	g := pinv
-	if uPerp != nil {
-		g = pinv.Mul(uPerp.ConjTranspose())
 	}
 	gNormSq := make([]float64, g.Rows())
 	for i := range gNormSq {

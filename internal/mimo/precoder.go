@@ -52,19 +52,35 @@ type OngoingReceiver struct {
 // linear equation a pre-coding vector must annihilate (Claims 3.3 and
 // 3.4).
 func (r OngoingReceiver) ConstraintRows() (*cmplxmat.Matrix, error) {
-	if r.Rows != nil {
+	b, _, err := r.constraintBlock()
+	switch {
+	case err != nil:
+		return nil, err
+	case b.A != nil:
+		return b.A.ConjTransposeMul(b.B), nil
+	case r.Rows != nil:
 		return r.Rows, nil
 	}
+	return r.H.Clone(), nil
+}
+
+// constraintBlock validates r as ConstraintRows does and returns its
+// rows unbuilt, as a block for cmplxmat.AppendNullSpace, with their
+// count.
+func (r OngoingReceiver) constraintBlock() (cmplxmat.Block, int, error) {
+	if r.Rows != nil {
+		return cmplxmat.Block{B: r.Rows}, r.Rows.Rows(), nil
+	}
 	if r.H == nil {
-		return nil, errors.New("mimo: OngoingReceiver with nil channel")
+		return cmplxmat.Block{}, 0, errors.New("mimo: OngoingReceiver with nil channel")
 	}
 	if r.UPerp == nil {
-		return r.H.Clone(), nil
+		return cmplxmat.Block{B: r.H}, r.H.Rows(), nil
 	}
 	if r.UPerp.Rows() != r.H.Rows() {
-		return nil, fmt.Errorf("mimo: UPerp has %d rows, channel has %d receive antennas", r.UPerp.Rows(), r.H.Rows())
+		return cmplxmat.Block{}, 0, fmt.Errorf("mimo: UPerp has %d rows, channel has %d receive antennas", r.UPerp.Rows(), r.H.Rows())
 	}
-	return r.UPerp.ConjTranspose().Mul(r.H), nil
+	return cmplxmat.Block{A: r.UPerp, B: r.H}, r.UPerp.Cols(), nil
 }
 
 // NumConstraints returns the number of equations this receiver
@@ -169,19 +185,23 @@ func ComputePrecoder(m int, ongoing []OngoingReceiver, own []OwnReceiver) (*Prec
 	if len(own) == 0 {
 		return nil, errors.New("mimo: no own receivers")
 	}
-	// Shared constraints: protect every ongoing receiver.
-	shared := make([]*cmplxmat.Matrix, 0, len(ongoing))
+	// Shared constraints: protect every ongoing receiver. The rows are
+	// stacked straight into the null-space factorization, and the
+	// block lists live on the stack (a transmitter protects a handful
+	// of receivers), so only the returned precoder is allocated.
+	var sharedBuf, blockBuf [8]cmplxmat.Block
+	shared := sharedBuf[:0]
 	k := 0
 	for i, r := range ongoing {
-		rows, err := r.ConstraintRows()
+		b, rows, err := r.constraintBlock()
 		if err != nil {
 			return nil, fmt.Errorf("mimo: ongoing receiver %d: %w", i, err)
 		}
-		if rows.Cols() != m {
-			return nil, fmt.Errorf("mimo: ongoing receiver %d expects %d tx antennas, have %d", i, rows.Cols(), m)
+		if b.B.Cols() != m {
+			return nil, fmt.Errorf("mimo: ongoing receiver %d expects %d tx antennas, have %d", i, b.B.Cols(), m)
 		}
-		shared = append(shared, rows)
-		k += rows.Rows()
+		shared = append(shared, b)
+		k += rows
 	}
 	totalStreams := 0
 	for _, o := range own {
@@ -194,7 +214,8 @@ func ComputePrecoder(m int, ongoing []OngoingReceiver, own []OwnReceiver) (*Prec
 		return nil, fmt.Errorf("mimo: %d streams requested but only %d degrees of freedom remain (M=%d, K=%d)", totalStreams, avail, m, k)
 	}
 
-	p := &Precoder{M: m}
+	p := &Precoder{M: m, Vectors: make([]cmplxmat.Vector, 0, totalStreams), RxIndex: make([]int, 0, totalStreams)}
+	var effBuf, projBuf [4]complex128
 	for i, dst := range own {
 		if dst.Streams == 0 {
 			continue
@@ -207,28 +228,23 @@ func ComputePrecoder(m int, ongoing []OngoingReceiver, own []OwnReceiver) (*Prec
 		}
 		// Streams for receiver i must not interfere at the transmitter's
 		// other receivers (the cross-receiver constraints of Claim 3.5).
-		blocks := make([]*cmplxmat.Matrix, 0, len(shared)+len(own)-1)
-		blocks = append(blocks, shared...)
+		blocks := append(blockBuf[:0], shared...)
 		for j, other := range own {
 			if j == i {
 				continue
 			}
-			rows, err := OngoingReceiver{H: other.H, UPerp: other.UPerp}.ConstraintRows()
+			b, _, err := OngoingReceiver{H: other.H, UPerp: other.UPerp}.constraintBlock()
 			if err != nil {
 				return nil, fmt.Errorf("mimo: own receiver %d: %w", j, err)
 			}
-			blocks = append(blocks, rows)
+			blocks = append(blocks, b)
 		}
-		// With no constraints at all (a lone winner on an idle medium
-		// serving one receiver — the dominant contention case) the
-		// null space is the full transmit space and the basis columns
-		// are the canonical unit vectors, so the QR machinery can be
-		// skipped entirely; the values are identical.
-		var basis *cmplxmat.Matrix
+		first := len(p.Vectors)
 		if len(blocks) > 0 {
-			basis = cmplxmat.NullSpace(cmplxmat.VStack(blocks...), 0)
-			if basis.Cols() < dst.Streams {
-				return nil, fmt.Errorf("mimo: own receiver %d: %d free dimensions for %d streams", i, basis.Cols(), dst.Streams)
+			var free int
+			p.Vectors, free = cmplxmat.AppendNullSpace(p.Vectors, blocks, dst.Streams, 0)
+			if free < dst.Streams {
+				return nil, fmt.Errorf("mimo: own receiver %d: %d free dimensions for %d streams", i, free, dst.Streams)
 			}
 		} else if dst.Streams > m {
 			// The constraint-free null space is the full m-dimensional
@@ -236,29 +252,45 @@ func ComputePrecoder(m int, ongoing []OngoingReceiver, own []OwnReceiver) (*Prec
 			return nil, fmt.Errorf("mimo: own receiver %d: %d free dimensions for %d streams", i, m, dst.Streams)
 		}
 		for s := 0; s < dst.Streams; s++ {
-			var v cmplxmat.Vector
-			var eff cmplxmat.Vector
-			if basis == nil {
-				v = make(cmplxmat.Vector, m)
+			eff := vecIn(&effBuf, dst.H.Rows())
+			if len(blocks) == 0 {
+				// With no constraints at all (a lone winner on an idle
+				// medium serving one receiver — the dominant contention
+				// case) the null space is the full transmit space and
+				// the basis columns are the canonical unit vectors, so
+				// the QR machinery is skipped entirely; the values are
+				// identical.
+				v := make(cmplxmat.Vector, m)
 				v[s] = 1
-				eff = dst.H.Col(s) // H·e_s
+				p.Vectors = append(p.Vectors, v)
+				for r := range eff {
+					eff[r] = dst.H.At(r, s) // H·e_s
+				}
 			} else {
-				v = basis.Col(s)
-				eff = dst.H.MulVec(v)
+				dst.H.MulVecInto(eff, p.Vectors[first+s])
 			}
 			// Deliverability check: the stream must be visible in the
 			// receiver's decoding space (the identity block of Eq. 7).
 			if dst.UPerp != nil {
-				eff = dst.UPerp.ConjTransposeMulVec(eff)
+				eff = dst.UPerp.ConjTransposeMulVecInto(vecIn(&projBuf, dst.UPerp.Cols()), eff)
 			}
 			if eff.Norm() < 1e-9 {
 				return nil, fmt.Errorf("mimo: own receiver %d stream %d lands entirely in its unwanted space", i, s)
 			}
-			p.Vectors = append(p.Vectors, v)
 			p.RxIndex = append(p.RxIndex, i)
 		}
 	}
 	return p, nil
+}
+
+// vecIn returns buf[:n], or a heap vector when n exceeds it: the
+// precoder's per-stream temporaries are at most one antenna count
+// long.
+func vecIn(buf *[4]complex128, n int) cmplxmat.Vector {
+	if n > len(buf) {
+		return make(cmplxmat.Vector, n)
+	}
+	return buf[:n]
 }
 
 // ResidualInterference reports the per-stream leakage power this

@@ -380,13 +380,16 @@ func (d *Deployment) Channel(from, to mac.NodeID) []*cmplxmat.Matrix {
 
 // Estimate implements mac.ChannelProvider: reciprocity-derived
 // estimate = true channel × per-antenna-pair calibration error +
-// preamble-SNR-dependent noise.
-func (d *Deployment) Estimate(from, to mac.NodeID, rng *rand.Rand) []*cmplxmat.Matrix {
+// preamble-SNR-dependent noise, built in buf when it is non-nil.
+func (d *Deployment) Estimate(from, to mac.NodeID, rng *rand.Rand, buf *cmplxmat.Batch) []*cmplxmat.Matrix {
 	truth := d.Channel(from, to)
 	if len(truth) == 0 {
 		return nil
 	}
-	out := cmplxmat.NewBatch(len(truth), truth[0].Rows(), truth[0].Cols())
+	if buf == nil {
+		buf = new(cmplxmat.Batch)
+	}
+	out := buf.Shape(len(truth), truth[0].Rows(), truth[0].Cols())
 	// Preamble SNR at the estimating node: the reverse-link preamble
 	// power over the noise floor.
 	preambleSNR := channel.FromDB(d.tb.Cfg.TxPowerDB) * meanGainOf(truth)

@@ -101,7 +101,7 @@ func TestEstimateErrorProperties(t *testing.T) {
 	d := deployTrio(t, 4)
 	rng := rand.New(rand.NewSource(9))
 	truth := d.Channel(3, 13)
-	est := d.Estimate(3, 13, rng)
+	est := d.Estimate(3, 13, rng, nil)
 	if len(est) != len(truth) {
 		t.Fatal("estimate bin count mismatch")
 	}
@@ -254,7 +254,7 @@ func TestLinkModelHearingAndSparseChannels(t *testing.T) {
 	if meanGainOf(d.Channel(1, 3)) != 0 {
 		t.Fatal("sub-floor channel not zero")
 	}
-	est := d.Estimate(1, 3, rand.New(rand.NewSource(9)))
+	est := d.Estimate(1, 3, rand.New(rand.NewSource(9)), nil)
 	for _, m := range est {
 		for i := 0; i < m.Rows(); i++ {
 			for j := 0; j < m.Cols(); j++ {

@@ -8,7 +8,7 @@ import "testing"
 // planner200Round. Allocation counts are deterministic for a fixed
 // deployment and seed, so the pin is exact; the race detector adds
 // allocations of its own, hence the build tag.
-const plannerRoundAllocs = 5060
+const plannerRoundAllocs = 1976
 
 // TestPlannerRoundAllocs pins the allocations of the planner's hot
 // path (the round BenchmarkPlanner200NodeRound times). The disabled
