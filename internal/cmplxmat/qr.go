@@ -199,19 +199,7 @@ func Rank(a *Matrix, tol float64) int {
 	if scale == 0 {
 		return 0
 	}
-	dim := a.rows
-	if a.cols > dim {
-		dim = a.cols
-	}
-	thresh := tol * float64(dim) * scale
-	rank := 0
-	n := min(a.rows, a.cols)
-	for i := 0; i < n; i++ {
-		if cmplx.Abs(qr.R.At(i, i)) > thresh {
-			rank++
-		}
-	}
-	return rank
+	return rankOf(qr.R, tol, scale)
 }
 
 // NullSpace returns an orthonormal basis for the (right) null space of

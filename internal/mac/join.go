@@ -174,7 +174,6 @@ type planCtx struct {
 	parts map[NodeID]*binPartition
 	rows  map[*Active][]*cmplxmat.Matrix
 	seen  map[string]bool
-	key   []byte // seenAlloc's key buffer
 	// estBufs hold the attempt's estimates, one per receiver, in draw
 	// order; the first nEst are in use. No plan keeps an estimate
 	// (precoders and constraint rows copy what they read), so the next
@@ -316,14 +315,14 @@ func (sc *Scenario) complementAt(ctx *planCtx, rx NodeID, rxAnt int, actives []*
 // candidates with the same key run the identical precoding problem on
 // the identical attempt-wide estimates.
 func (ctx *planCtx) seenAlloc(dests []Flow, alloc []int) bool {
-	key := ctx.key[:0]
+	var buf [32]byte
+	key := buf[:0]
 	for d, f := range dests {
 		key = strconv.AppendInt(key, int64(f.ID), 10)
 		key = append(key, ':')
 		key = strconv.AppendInt(key, int64(alloc[d]), 10)
 		key = append(key, ';')
 	}
-	ctx.key = key
 	if ctx.seen[string(key)] {
 		return true
 	}
